@@ -9,13 +9,13 @@ from .blocking import Block, BlockEntry, BlockingError, BlockStats, block_stats,
 from .dblp_xml import DblpParseError, ParseCounters, parse_dblp_stream
 from .encoders import (
     Encoders,
-    FeatureVectorPair,
     HashingNameEncoder,
     HashingTextEncoder,
     TableEncoder,
-    assemble_features,
     default_encoders,
     load_embedding_table,
+    name_input,
+    text_input,
 )
 from .metrics import EVAL_ALL, EVAL_ANV, EvalReport, evaluate_block, micro_macro_report
 from .model import (
@@ -25,12 +25,10 @@ from .model import (
     ModelParams,
     adam_step,
     class_weights,
-    forward,
     forward_batch,
     init_adam_state,
     init_model,
     load_checkpoint,
-    loss_and_gradients,
     loss_and_gradients_batch,
     save_checkpoint,
 )

@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .blocking import (
+    Block,
     BlockingError,
     block_stats,
     build_block,
@@ -75,16 +76,19 @@ _OPERATIONAL_ERRORS = (
 )
 
 
-def _build_encoders(args) -> Encoders:
-    name_encoder = HashingNameEncoder()
-    text_encoder = HashingTextEncoder()
-    name = name_encoder
-    text = text_encoder
-    if getattr(args, "name_table", None):
-        name = load_embedding_table(args.name_table, NAME_DIM, name_encoder)
-    if getattr(args, "text_table", None):
-        text = load_embedding_table(args.text_table, TEXT_DIM, text_encoder)
+def _build_encoders(name_table: str | None, text_table: str | None) -> Encoders:
+    name = HashingNameEncoder()
+    text = HashingTextEncoder()
+    if name_table:
+        name = load_embedding_table(name_table, NAME_DIM, name)
+    if text_table:
+        text = load_embedding_table(text_table, TEXT_DIM, text)
     return Encoders(name=name, text=text)
+
+
+def _load_block(corpus_path: str, variate_key: str) -> Block:
+    corpus = load_corpus(corpus_path)
+    return build_block(corpus, build_author_registry(corpus), variate_key)
 
 
 def _slug(variate_key: str) -> str:
@@ -113,14 +117,10 @@ def _train_single_block(
 ) -> dict:
     """Train one block end to end; self-contained so it can run in a worker
     process."""
-    corpus = load_corpus(corpus_path)
-    registry = build_author_registry(corpus)
-    block = build_block(corpus, registry, variate_key)
+    block = _load_block(corpus_path, variate_key)
     split_seed, train_seed = derive_block_seeds(master_seed, block.variate_key)
     split = split_per_author(block, split_seed)
-
-    args = argparse.Namespace(name_table=name_table, text_table=text_table)
-    encoders = _build_encoders(args)
+    encoders = _build_encoders(name_table, text_table)
     result = train_block_model(
         block, split, encoders, config=TrainRunConfig(**{**config.__dict__, "seed": train_seed})
     )
@@ -173,9 +173,7 @@ def _cmd_stats(args) -> dict:
         text = render_corpus_stats(stats)
         out = {"records": stats.records, "authors": stats.authors, "names": stats.names, "variates": stats.variates}
     else:
-        corpus = load_corpus(args.corpus)
-        registry = build_author_registry(corpus)
-        block = build_block(corpus, registry, args.block)
+        block = _load_block(args.corpus, args.block)
         stats = block_stats(block)
         text = render_block_stats(block, stats)
         out = {"block": block.display_variate, **stats.__dict__}
@@ -187,9 +185,7 @@ def _cmd_stats(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
-    corpus = load_corpus(args.corpus)
-    registry = build_author_registry(corpus)
-    block = build_block(corpus, registry, args.block)
+    block = _load_block(args.corpus, args.block)
     split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
     split = split_per_author(block, split_seed)
     counts = split.counts()
@@ -212,7 +208,9 @@ def _cmd_train(args) -> dict:
     config = _train_config(args)
     jobs = []
     if len(blocks) == 1 and not str(args.out).endswith("/") and not Path(args.out).is_dir():
-        checkpoint_paths = [str(args.out)]
+        # np.savez appends .npz to any other name; report the file it writes
+        out = str(args.out)
+        checkpoint_paths = [out if out.endswith(".npz") else out + ".npz"]
     else:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,8 +267,14 @@ def _cmd_predict(args) -> dict:
     if record is None:
         raise PredictionError(f"record key {args.record_key!r} not in corpus")
     bundle = load_checkpoint(args.checkpoint)
+    unknown = route.candidates - set(bundle.class_index)
+    if unknown:
+        raise PredictionError(
+            f"checkpoint {args.checkpoint} does not cover candidate(s) "
+            f"{', '.join(sorted(a.render() for a in unknown))}; is it another block's model?"
+        )
     class_index = {a: i for i, a in enumerate(bundle.class_index)}
-    encoders = _build_encoders(args)
+    encoders = _build_encoders(args.name_table, args.text_table)
     variate_mode = MODE_ANV if args.mode == EVAL_ANV else MODE_FULL
     prediction = predict_author(
         bundle.params, class_index, record, args.name, variate_mode, encoders, aggregation=args.agg
@@ -286,17 +290,21 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_evaluate(args) -> dict:
-    corpus = load_corpus(args.corpus)
-    registry = build_author_registry(corpus)
-    block = build_block(corpus, registry, args.block)
-    split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
-    split = split_per_author(block, split_seed)
+    block = _load_block(args.corpus, args.block)
     bundle = load_checkpoint(args.checkpoint, expected_classes=block.n_classes)
     if list(bundle.class_index) != list(block.authors):
         raise EvaluationError(
             "checkpoint class order does not match the block built from this corpus"
         )
-    encoders = _build_encoders(args)
+    trained_seed = bundle.extra.get("master_seed")
+    if trained_seed is not None and trained_seed != args.seed:
+        # another seed gives another split, whose TEST records training saw
+        raise EvaluationError(
+            f"checkpoint was trained with --seed {trained_seed} but evaluate got --seed {args.seed}"
+        )
+    split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
+    split = split_per_author(block, split_seed)
+    encoders = _build_encoders(args.name_table, args.text_table)
     report = evaluate_block(bundle.params, block, split, args.mode, encoders, aggregation=args.agg)
     text = render_report(report)
     print(text)
@@ -450,9 +458,24 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentParser) -> None:
-    """Fill flag values from the config file wherever the flag was left at
-    its parser default."""
+def _flags_given(subparser: argparse.ArgumentParser, sub_argv: list[str]) -> set[str]:
+    """Dests of the flags that appear in ``sub_argv``: a reparse with every
+    default suppressed leaves only those in the namespace."""
+    defaults = [(action, action.default) for action in subparser._actions]
+    for action, _ in defaults:
+        action.default = argparse.SUPPRESS
+    try:
+        return set(vars(subparser.parse_args(sub_argv)))
+    finally:
+        for action, default in defaults:
+            action.default = default
+
+
+def _apply_config_file(
+    args: argparse.Namespace, subparser: argparse.ArgumentParser, sub_argv: list[str]
+) -> None:
+    """Fill flag values from the config file for every flag that does not
+    appear on the command line."""
     if not args.config:
         return
     entries = _parse_config_file(args.config)
@@ -460,12 +483,13 @@ def _apply_config_file(args: argparse.Namespace, subparser: argparse.ArgumentPar
     for action in subparser._actions:
         if action.dest not in ("help",):
             known[action.dest] = action
+    given = _flags_given(subparser, sub_argv)
     for key, raw in entries.items():
         action = known.get(key)
         if action is None:
             raise ValueError(f"config key {key!r} is not a flag of this command")
-        if getattr(args, action.dest) != action.default:
-            continue  # flag given on the command line wins
+        if action.dest in given:
+            continue
         if isinstance(action.const, bool) or isinstance(action.default, bool):
             value = raw.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
@@ -496,11 +520,12 @@ def _write_manifest(args: argparse.Namespace, status: str, payload: dict, durati
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser, subs = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        _apply_config_file(args, subs[args.command])
+        _apply_config_file(args, subs[args.command], argv[argv.index(args.command) + 1 :])
     except _OPERATIONAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,19 +11,19 @@ Both hash with BLAKE2b so the vectors are identical across runs, platforms
 and processes.  Real pretrained vectors can be injected through
 :class:`TableEncoder`, a key->vector table with built-in fallback on misses.
 
-The classifier's two inputs are assembled from these encoders: input one is
-the target's first-name vector concatenated with the mean of two co-author
-name vectors (400 dims); input two is the mean of the title and source
-vectors (768 dims).
+The classifier's two inputs are built from these encoders by
+:func:`name_input` and :func:`text_input`, the one feature recipe that
+training and prediction share: input one is the target's first-name vector
+concatenated with the mean of two co-author name vectors (400 dims); input
+two is the mean of the title and source vectors (768 dims).
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -195,33 +195,37 @@ def default_encoders() -> Encoders:
     return Encoders(name=HashingNameEncoder(), text=HashingTextEncoder())
 
 
-@dataclass(frozen=True)
-class FeatureVectorPair:
-    """The classifier's two inputs: 400 name dims and 768 text dims."""
+def name_input(
+    first: np.ndarray, vectors: np.ndarray, p: np.ndarray, j: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Input one for a batch of samples: name(first name) ++ (name(p) + name(j)) / 2.
 
-    x1: np.ndarray
-    x2: np.ndarray
+    ``vectors`` holds encoded names one per row, ``p`` and ``j`` index its
+    rows with one entry per sample, and ``first`` is either one first-name
+    vector shared by every sample or one row per sample.  A missing
+    co-author slot points at the encoding of the empty string, a zero row.
+    The rows are written into ``out`` when given, so a caller that redraws
+    j often can reuse one buffer instead of holding two.
+    """
+    dim = vectors.shape[1]
+    if out is None:
+        out = np.empty((len(p), 2 * dim))
+    out[:, :dim] = first
+    pair = out[:, dim:]
+    np.add(vectors[p], vectors[j], out=pair)
+    pair *= 0.5
+    return out
 
 
-def assemble_features(
-    target_first_name: str,
-    coauthor_p: str,
-    coauthor_j: str,
-    title: str,
-    source: str,
-    name_encoder: Callable[[str], np.ndarray],
-    text_encoder: Callable[[str], np.ndarray],
-) -> FeatureVectorPair:
-    """Build the two model inputs for one sample.
+def text_input(
+    text_encoder: Callable[[str], np.ndarray], titles: Sequence[str], sources: Sequence[str]
+) -> np.ndarray:
+    """Input two, one row per record: (text(title) + text(source)) / 2.
 
-    x1 = name(first name) ++ (name(p) + name(j)) / 2, x2 = (text(title) +
-    text(source)) / 2.  Missing co-author slots are passed as empty strings
-    and contribute zero vectors; an empty source likewise halves the title
+    An empty source contributes the zero vector and so halves the title
     signal rather than renormalizing.
     """
-    target_vec = np.asarray(name_encoder(target_first_name))
-    p_vec = np.asarray(name_encoder(coauthor_p))
-    j_vec = np.asarray(name_encoder(coauthor_j))
-    x1 = np.concatenate([target_vec, 0.5 * (p_vec + j_vec)])
-    x2 = 0.5 * (np.asarray(text_encoder(title)) + np.asarray(text_encoder(source)))
-    return FeatureVectorPair(x1=x1, x2=x2)
+    out = np.stack([np.asarray(text_encoder(t)) for t in titles])
+    out += np.stack([np.asarray(text_encoder(s)) for s in sources])
+    out *= 0.5
+    return out

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import FeatureVectorPair
 from .records import AuthorId
 
 LOG_FLOOR = 1e-12
@@ -37,7 +36,6 @@ class ModelConfig:
     branch2_hidden: tuple[int, ...] = (256,)
     merged_hidden: tuple[int, ...] = (256, 128)
     dropout_rate: float = 0.5
-    dropout_branches: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -87,7 +85,6 @@ class ModelConfig:
             "branch2_hidden": list(self.branch2_hidden),
             "merged_hidden": list(self.merged_hidden),
             "dropout_rate": self.dropout_rate,
-            "dropout_branches": self.dropout_branches,
             "seed": self.seed,
         }
 
@@ -203,18 +200,7 @@ def forward_batch(
     b1_acts, b1_zs = run_stack(x1, w1s, b1s)
     b2_acts, b2_zs = run_stack(x2, w2s, b2s)
 
-    mask1 = mask2 = None
-    h1, h2 = b1_acts[-1], b2_acts[-1]
-    # branch dropout is optional and skipped when the concat itself is the
-    # last hidden layer (no merged layers), to avoid dropping it twice
-    if use_dropout and cfg.dropout_branches and cfg.merged_hidden:
-        keep = 1.0 - cfg.dropout_rate
-        mask1 = (rng.random(h1.shape) >= cfg.dropout_rate) / keep
-        mask2 = (rng.random(h2.shape) >= cfg.dropout_rate) / keep
-        h1 = h1 * mask1
-        h2 = h2 * mask2
-
-    concat = np.concatenate([h1, h2], axis=1)
+    concat = np.concatenate([b1_acts[-1], b2_acts[-1]], axis=1)
     m_acts, m_zs = run_stack(concat, wms, bms)
 
     last_hidden = m_acts[-1]
@@ -241,23 +227,9 @@ def forward_batch(
         "m_zs": m_zs,
         "last_hidden": last_hidden,
         "mask_last": mask_last,
-        "mask1": mask1,
-        "mask2": mask2,
         "probs": probs,
     }
     return probs, cache
-
-
-def forward(
-    params: ModelParams,
-    pair: FeatureVectorPair,
-    mode: str = "infer",
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict | None]:
-    """Single-sample forward pass; returns a probability vector of length
-    n_classes (sums to one) and, in train mode, the activation cache."""
-    probs, cache = forward_batch(params, pair.x1[None, :], pair.x2[None, :], mode=mode, rng=rng)
-    return probs[0], cache
 
 
 def loss_and_gradients_batch(
@@ -266,21 +238,19 @@ def loss_and_gradients_batch(
     x2: np.ndarray,
     labels: np.ndarray,
     sample_weights: np.ndarray,
-    mode: str = "train",
     rng: np.random.Generator | None = None,
 ) -> tuple[float, np.ndarray]:
     """Mean weighted cross-entropy over the batch and its gradient, flat.
 
-    The gradient shares the parameter layout, so ``_layer_views`` applies to
-    it unchanged.  The log is floored at 1e-12 to guard the loss value
-    against underflow; gradients use the exact softmax/cross-entropy form.
+    Runs the train-mode forward pass, so the gradient is consistent with the
+    dropout masks drawn from ``rng``; a config with ``dropout_rate`` 0 needs
+    no rng and gives deterministic gradients.  The gradient shares the
+    parameter layout, so ``_layer_views`` applies to it unchanged.  The log
+    is floored at 1e-12 to guard the loss value against underflow; gradients
+    use the exact softmax/cross-entropy form.
     """
     cfg = params.config
-    if mode == "train":
-        _, cache = forward_batch(params, x1, x2, mode="train", rng=rng)
-    else:
-        # infer-mode gradients: same math with dropout disabled
-        _, cache = _forward_cache_no_dropout(params, x1, x2)
+    _, cache = forward_batch(params, x1, x2, mode="train", rng=rng)
     labels = np.asarray(labels)
     sample_weights = np.asarray(sample_weights, dtype=np.float64)
     batch = labels.shape[0]
@@ -322,53 +292,10 @@ def loss_and_gradients_batch(
     d_concat = back_stack(dh, wms, cache["m_acts"], cache["m_zs"], gwm, gbm)
     split = cache["b1_acts"][-1].shape[1]
     d1, d2 = d_concat[:, :split], d_concat[:, split:]
-    if cache["mask1"] is not None:
-        d1 = d1 * cache["mask1"]
-    if cache["mask2"] is not None:
-        d2 = d2 * cache["mask2"]
     back_stack(d1, w1s, cache["b1_acts"], cache["b1_zs"], gw1, gb1)
     back_stack(d2, w2s, cache["b2_acts"], cache["b2_zs"], gw2, gb2)
 
     return loss, grad_flat
-
-
-def _forward_cache_no_dropout(params: ModelParams, x1, x2):
-    """Train-style cache with dropout disabled, for infer-mode gradients."""
-    cfg = params.config
-    if cfg.dropout_rate == 0.0:
-        return forward_batch(params, x1, x2, mode="train", rng=None)
-    plain = ModelConfig(**{**cfg.to_dict(), "dropout_rate": 0.0})
-    alias = ModelParams(plain, params.flat)
-    return forward_batch(alias, x1, x2, mode="train", rng=None)
-
-
-def loss_and_gradients(
-    params: ModelParams,
-    pair: FeatureVectorPair,
-    true_class: int,
-    class_weight: float = 1.0,
-    mode: str = "train",
-    rng: np.random.Generator | None = None,
-) -> tuple[float, np.ndarray]:
-    """Weighted cross-entropy loss of one sample and its flat gradient.
-
-    In train mode the gradient is consistent with the dropout mask drawn in
-    the forward pass; in infer mode dropout is off and the result is
-    deterministic.
-    """
-    if not 0 <= true_class < params.config.n_classes:
-        raise ValueError(f"true_class {true_class} out of range")
-    if class_weight <= 0.0:
-        raise ValueError("class_weight must be positive")
-    return loss_and_gradients_batch(
-        params,
-        pair.x1[None, :],
-        pair.x2[None, :],
-        np.array([true_class]),
-        np.array([class_weight]),
-        mode=mode,
-        rng=rng,
-    )
 
 
 @dataclass
@@ -494,7 +421,14 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
-    config = ModelConfig.from_dict(meta["config"])
+    stored = dict(meta["config"])
+    # configs written before branch dropout was removed carry it, always off
+    if stored.pop("dropout_branches", False) is not False:
+        raise CheckpointError(f"checkpoint {path} enables branch dropout, which is not supported")
+    try:
+        config = ModelConfig.from_dict(stored)
+    except (TypeError, KeyError, ValueError) as exc:
+        raise CheckpointError(f"bad model config in checkpoint {path}: {exc}") from exc
     if expected_classes is not None and config.n_classes != expected_classes:
         raise CheckpointError(
             f"checkpoint has {config.n_classes} classes, expected {expected_classes}"

@@ -16,13 +16,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import Encoders
+from .encoders import Encoders, name_input, text_input
 from .model import ModelParams, forward_batch
 from .names import AuthorRegistry, atomic_variate, name_forms, normalize_name, resolve_name
 from .records import AuthorId, BibRecord
 from .training import MODE_ANV, MODE_FULL
 
 AGGREGATIONS = ("sum", "max")
+
+# pairs per forward pass; bounds the feature matrices of very long author lists
+PAIR_CHUNK = 4096
 
 
 class PredictionError(Exception):
@@ -113,16 +116,15 @@ def predict_author(
 
     first_vec = np.asarray(encoders.name(first))
     pool_vecs = np.stack([np.asarray(encoders.name(s)) for s in pool])
-    n = len(pool)
-    p_idx, j_idx = np.triu_indices(n, k=1)
+    text_row = text_input(encoders.text, [record.title], [record.source])
+    p_idx, j_idx = np.triu_indices(len(pool), k=1)
     pair_count = p_idx.size
-    x1 = np.concatenate(
-        [np.tile(first_vec, (pair_count, 1)), 0.5 * (pool_vecs[p_idx] + pool_vecs[j_idx])], axis=1
-    )
-    x2_row = 0.5 * (np.asarray(encoders.text(record.title)) + np.asarray(encoders.text(record.source)))
-    x2 = np.tile(x2_row, (pair_count, 1))
-
-    probs, _ = forward_batched(params, x1, x2)
+    chunks = []
+    for start in range(0, pair_count, PAIR_CHUNK):
+        p, j = p_idx[start : start + PAIR_CHUNK], j_idx[start : start + PAIR_CHUNK]
+        x1 = name_input(first_vec, pool_vecs, p, j)
+        chunks.append(forward_batch(params, x1, np.repeat(text_row, p.size, axis=0))[0])
+    probs = np.concatenate(chunks)
     if aggregation == "sum":
         scores = probs.sum(axis=0)
     else:
@@ -141,17 +143,6 @@ def predict_author(
         aggregation=aggregation,
         variate_mode=variate_mode,
     )
-
-
-def forward_batched(params: ModelParams, x1: np.ndarray, x2: np.ndarray, batch_size: int = 4096):
-    """Infer-mode forward over arbitrarily many rows, chunked for memory."""
-    if x1.shape[0] <= batch_size:
-        return forward_batch(params, x1, x2, mode="infer")
-    parts = [
-        forward_batch(params, x1[s : s + batch_size], x2[s : s + batch_size], mode="infer")[0]
-        for s in range(0, x1.shape[0], batch_size)
-    ]
-    return np.concatenate(parts, axis=0), None
 
 
 def render_prediction(prediction: Prediction, top_k: int = 5) -> str:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .blocking import Block, BlockEntry
-from .encoders import Encoders
+from .encoders import Encoders, name_input, text_input
 from .model import (
     AdamState,
     ModelConfig,
@@ -203,9 +203,9 @@ class SampleBank:
 
     Row order and all static columns come from ``generate_training_samples``
     run over the entries in order; ``assign_coauthors`` reruns the generator
-    with a fresh rng and only swaps the j half of x1.  Name vectors are
-    encoded once into a shared matrix, so a reassignment is two fancy
-    indexing operations rather than a re-encode.
+    with a fresh rng and rewrites x1 in place with the new j indices.  Name
+    vectors are encoded once into a shared matrix, so a reassignment is fancy
+    indexing through :func:`name_input` rather than a re-encode.
     """
 
     def __init__(self, entries: Sequence[BlockEntry], class_index: dict[AuthorId, int], encoders: Encoders):
@@ -245,23 +245,21 @@ class SampleBank:
                 labels.append(s.label)
                 rows_record.append(rec_row)
 
-        strings = list(string_ids)
         self._string_ids = string_ids
-        self._vectors = np.stack([np.asarray(encoders.name(s)) for s in strings]) if strings else np.zeros((0, 1))
+        self._vectors = np.stack([np.asarray(encoders.name(s)) for s in string_ids])
         self.name_dim = self._vectors.shape[1]
-        text_rows = [
-            0.5 * (np.asarray(encoders.text(r.title)) + np.asarray(encoders.text(r.source)))
-            for r in records
-        ]
-        self.text_dim = len(text_rows[0]) if text_rows else 0
         self._first_ids = np.array(rows_first, dtype=np.intp)
         self._p_ids = np.array(rows_p, dtype=np.intp)
         self._j_ids = np.zeros(len(rows_first), dtype=np.intp)
         self.labels = np.array(labels, dtype=np.int64)
-        self.x2 = np.stack(text_rows)[np.array(rows_record, dtype=np.intp)] if text_rows else np.zeros((0, 0))
+        if records:
+            text_rows = text_input(encoders.text, [r.title for r in records], [r.source for r in records])
+            self.x2 = text_rows[np.array(rows_record, dtype=np.intp)]
+        else:
+            self.x2 = np.zeros((0, 0))
+        self.text_dim = self.x2.shape[1]
         self.x1 = np.empty((len(rows_first), 2 * self.name_dim))
-        self.x1[:, : self.name_dim] = self._vectors[self._first_ids]
-        self._refresh_pair_half()
+        self._build_x1()
 
     @property
     def n_samples(self) -> int:
@@ -275,11 +273,10 @@ class SampleBank:
             for s in samples:
                 self._j_ids[row] = self._string_ids[s.coauthor_j]
                 row += 1
-        self._refresh_pair_half()
+        self._build_x1()
 
-    def _refresh_pair_half(self) -> None:
-        if self.n_samples:
-            self.x1[:, self.name_dim :] = 0.5 * (self._vectors[self._p_ids] + self._vectors[self._j_ids])
+    def _build_x1(self) -> None:
+        name_input(self._vectors[self._first_ids], self._vectors, self._p_ids, self._j_ids, out=self.x1)
 
 
 @dataclass(frozen=True)
@@ -346,7 +343,6 @@ class TrainResult:
     best_params: ModelParams
     final_params: ModelParams
     best_adam_state: AdamState
-    final_adam_state: AdamState
     best_epoch: int
     history: list[EpochStats]
     stopped_early: bool
@@ -467,8 +463,7 @@ def train_block_model(
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             loss, grad = loss_and_gradients_batch(
-                params, bank.x1[idx], bank.x2[idx], bank.labels[idx], sample_weights[idx],
-                mode="train", rng=dropout_rng,
+                params, bank.x1[idx], bank.x2[idx], bank.labels[idx], sample_weights[idx], rng=dropout_rng,
             )
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
@@ -488,7 +483,6 @@ def train_block_model(
         best_params=best_params,
         final_params=params,
         best_adam_state=best_adam,
-        final_adam_state=adam,
         best_epoch=monitor.best_epoch,
         history=history,
         stopped_early=stopped_early,

@@ -23,12 +23,11 @@ import conftest
 
 from namelink.blocking import block_stats, build_block
 from namelink.dblp_xml import ParseCounters, parse_dblp_stream
-from namelink.encoders import assemble_features, default_encoders
+from namelink.encoders import default_encoders
 from namelink.metrics import EVAL_ALL, EVAL_ANV, evaluate_block, micro_macro_report
 from namelink.model import (
     ModelConfig,
     ModelParams,
-    forward,
     forward_batch,
     init_model,
     loss_and_gradients_batch,
@@ -113,7 +112,7 @@ def test_a1_gradient_finite_differences():
             labels = rng.integers(config.n_classes, size=batch)
             weights = rng.uniform(0.5, 2.0, size=batch)
 
-            _, grad = loss_and_gradients_batch(params, x1, x2, labels, weights, mode="infer")
+            _, grad = loss_and_gradients_batch(params, x1, x2, labels, weights)
 
             if config.n_params <= 400:
                 coords = np.arange(config.n_params)
@@ -124,10 +123,10 @@ def test_a1_gradient_finite_differences():
                 up[k] += h
                 down[k] -= h
                 lu, _ = loss_and_gradients_batch(
-                    ModelParams(config, up), x1, x2, labels, weights, mode="infer"
+                    ModelParams(config, up), x1, x2, labels, weights
                 )
                 ld, _ = loss_and_gradients_batch(
-                    ModelParams(config, down), x1, x2, labels, weights, mode="infer"
+                    ModelParams(config, down), x1, x2, labels, weights
                 )
                 fd = (lu - ld) / (2.0 * h)
                 scale = max(abs(grad[k]), abs(fd))
@@ -160,7 +159,7 @@ def test_a2_uniform_softmax_and_loss():
             assert np.abs(probs - 1.0 / n_classes).max() <= 1e-12
             labels = rng.integers(n_classes, size=batch)
             loss, _ = loss_and_gradients_batch(
-                params, x1, x2, labels, np.ones(batch), mode="infer"
+                params, x1, x2, labels, np.ones(batch)
             )
             assert abs(loss - math.log(n_classes)) <= 1e-9
     except BaseException:
@@ -197,10 +196,9 @@ def test_a3_pairwise_prediction_oracle():
                 pool, first = [f.anv for f in forms], forms[-1].anv_first
             per_pair = []
             for p, j in itertools.combinations(range(len(pool)), 2):
-                pair = assemble_features(
-                    first, pool[p], pool[j], record.title, record.source, enc.name, enc.text
-                )
-                per_pair.append(forward(params, pair)[0])
+                x1 = np.concatenate([enc.name(first), 0.5 * (enc.name(pool[p]) + enc.name(pool[j]))])
+                x2 = 0.5 * (enc.text(record.title) + enc.text(record.source))
+                per_pair.append(forward_batch(params, x1[None, :], x2[None, :])[0][0])
             stacked = np.stack(per_pair)
             scores = stacked.sum(axis=0) if agg == "sum" else stacked.max(axis=0)
             assert prediction.chosen == classes[int(np.argmax(scores))]

@@ -4,8 +4,18 @@ from pathlib import Path
 import pytest
 
 from namelink.cli import main
+from namelink.model import load_checkpoint, save_checkpoint
+from namelink.records import AuthorId
 
 FIXTURE_XML = str(Path(__file__).parent / "data" / "dblp_fixture.xml")
+
+
+def resave(src, dst, class_index=None, drop_extra=()):
+    """Copy a checkpoint, optionally with other classes or fewer extra keys."""
+    bundle = load_checkpoint(src)
+    extra = {k: v for k, v in bundle.extra.items() if k not in drop_extra}
+    save_checkpoint(dst, bundle.params, bundle.adam_state, class_index or bundle.class_index, extra)
+    return str(dst)
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +258,36 @@ class TestTrain:
         names = sorted(p.name for p in out_dir.glob("*.npz"))
         assert len(names) == 2
 
+    def test_reported_checkpoint_path_is_the_written_file(self, ws, tmp_path, capsys):
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(tmp_path / "x.ckpt"),
+                "--max-epochs", "1",
+                "--manifest", str(manifest),
+            ]
+        )
+        assert rc == 0
+        (entry,) = [json.loads(line) for line in manifest.read_text("utf-8").splitlines()]
+        checkpoint = entry["result"]["blocks"][0]["checkpoint"]
+        assert checkpoint == str(tmp_path / "x.ckpt.npz")
+        assert checkpoint in capsys.readouterr().out
+        assert Path(checkpoint).exists()
+        assert Path(checkpoint + ".history.ndjson").exists()
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", checkpoint,
+                "--manifest", str(manifest),
+            ]
+        )
+        assert rc == 0
+
 
 class TestEvaluate:
     def test_all_mode_report(self, ws, capsys):
@@ -293,6 +333,37 @@ class TestEvaluate:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_seed_other_than_training_rejected(self, ws, tmp_path, capsys):
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", ws["ckpt"],
+                "--seed", "5",
+                "--manifest", str(tmp_path / "m"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "--seed 0" in captured.err and "--seed 5" in captured.err
+        assert "MiAF1" not in captured.out
+
+    def test_checkpoint_without_master_seed_still_loads(self, ws, tmp_path, capsys):
+        ckpt = resave(ws["ckpt"], tmp_path / "old.npz", drop_extra=("master_seed",))
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", ckpt,
+                "--seed", "5",
+                "--manifest", str(tmp_path / "m"),
+            ]
+        )
+        assert rc == 0
+        assert "MiAF1 (All)\t" in capsys.readouterr().out
 
 
 class TestPredict:
@@ -351,6 +422,24 @@ class TestPredict:
         assert rc == 1
         assert "not in corpus" in capsys.readouterr().err
 
+    def test_checkpoint_missing_candidates_rejected(self, ws, tmp_path, capsys):
+        others = [AuthorId("Other Person", k) for k in range(3)]
+        ckpt = resave(ws["ckpt"], tmp_path / "other.npz", class_index=others)
+        rc = main(
+            [
+                "predict",
+                "--corpus", ws["corpus"],
+                "--name", "Y Chen",
+                "--record-key", "synth/a/0000",
+                "--checkpoint", ckpt,
+                "--manifest", str(tmp_path / "m"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "does not cover" in captured.err
+        assert "chosen" not in captured.out
+
 
 class TestUsageErrors:
     def test_no_command(self, capsys):
@@ -403,6 +492,23 @@ class TestConfigFile:
         assert rc == 0
         assert "authors\t3" in out  # flag value
         assert "records\t6" in out  # config value: 3 authors x 2 records
+
+    def test_flag_equal_to_its_default_beats_config(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("authors=3\n", "utf-8")
+        rc = main(
+            [
+                "gen-synth",
+                "--out", str(tmp_path / "c.ndjson"),
+                "--authors", "20",
+                "--config", str(cfg),
+                "--manifest", str(tmp_path / "m"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "authors\t20" in out
+        assert "records\t800" in out  # 20 authors x 40 records each
 
     def test_unknown_key_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

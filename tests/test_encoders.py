@@ -10,9 +10,10 @@ from namelink.encoders import (
     HashingNameEncoder,
     HashingTextEncoder,
     TableEncoder,
-    assemble_features,
     default_encoders,
     load_embedding_table,
+    name_input,
+    text_input,
 )
 
 
@@ -134,38 +135,56 @@ class TestTableEncoder:
 
 
 class TestAssembleFeatures:
+    NAMES = ["", "J Lee", "M Chen"]
+
+    def vectors(self, enc):
+        return np.stack([enc.name(n) for n in self.NAMES])
+
     def test_shapes(self):
         enc = default_encoders()
-        pair = assemble_features("Wei", "J Lee", "M Chen", "title words", "venue", enc.name, enc.text)
-        assert pair.x1.shape == (2 * NAME_DIM,)
-        assert pair.x2.shape == (TEXT_DIM,)
+        x1 = name_input(enc.name("Wei"), self.vectors(enc), np.array([1, 2, 0]), np.array([2, 0, 0]))
+        x2 = text_input(enc.text, ["title words", "other"], ["venue", ""])
+        assert x1.shape == (3, 2 * NAME_DIM)
+        assert x2.shape == (2, TEXT_DIM)
 
     def test_coauthor_order_symmetric(self):
         enc = default_encoders()
-        a = assemble_features("Wei", "J Lee", "M Chen", "t", "s", enc.name, enc.text)
-        b = assemble_features("Wei", "M Chen", "J Lee", "t", "s", enc.name, enc.text)
-        np.testing.assert_allclose(a.x1, b.x1, atol=1e-15)
-        np.testing.assert_allclose(a.x2, b.x2, atol=1e-15)
+        vectors = self.vectors(enc)
+        a = name_input(enc.name("Wei"), vectors, np.array([1]), np.array([2]))
+        b = name_input(enc.name("Wei"), vectors, np.array([2]), np.array([1]))
+        np.testing.assert_allclose(a, b, atol=1e-15)
 
     def test_first_half_is_target_first_name(self):
         enc = default_encoders()
-        pair = assemble_features("Wei", "J Lee", "M Chen", "t", "s", enc.name, enc.text)
-        np.testing.assert_array_equal(pair.x1[:NAME_DIM], enc.name("Wei"))
+        x1 = name_input(enc.name("Wei"), self.vectors(enc), np.array([1, 2]), np.array([2, 1]))
+        np.testing.assert_array_equal(x1[:, :NAME_DIM], np.stack([enc.name("Wei")] * 2))
+
+    def test_per_sample_first_names(self):
+        enc = default_encoders()
+        first = np.stack([enc.name("Wei"), enc.name("W")])
+        x1 = name_input(first, self.vectors(enc), np.array([1, 1]), np.array([2, 2]))
+        np.testing.assert_array_equal(x1[:, :NAME_DIM], first)
+        np.testing.assert_array_equal(x1[0, NAME_DIM:], x1[1, NAME_DIM:])
 
     def test_empty_coauthors_leave_pair_half_zero(self):
         enc = default_encoders()
-        pair = assemble_features("Wei", "", "", "t", "s", enc.name, enc.text)
-        assert np.all(pair.x1[NAME_DIM:] == 0.0)
+        x1 = name_input(enc.name("Wei"), self.vectors(enc), np.array([0]), np.array([0]))
+        assert np.all(x1[:, NAME_DIM:] == 0.0)
 
     def test_single_coauthor_half_weight(self):
         enc = default_encoders()
-        pair = assemble_features("Wei", "J Lee", "", "t", "s", enc.name, enc.text)
-        np.testing.assert_allclose(pair.x1[NAME_DIM:], 0.5 * enc.name("J Lee"), atol=1e-15)
+        x1 = name_input(enc.name("Wei"), self.vectors(enc), np.array([1]), np.array([0]))
+        np.testing.assert_allclose(x1[0, NAME_DIM:], 0.5 * enc.name("J Lee"), atol=1e-15)
 
     def test_empty_source_halves_title_signal(self):
         enc = default_encoders()
-        pair = assemble_features("Wei", "a", "b", "some title", "", enc.name, enc.text)
-        np.testing.assert_allclose(pair.x2, 0.5 * enc.text("some title"), atol=1e-15)
+        x2 = text_input(enc.text, ["some title"], [""])
+        np.testing.assert_allclose(x2[0], 0.5 * enc.text("some title"), atol=1e-15)
+
+    def test_text_rows_follow_records(self):
+        enc = default_encoders()
+        x2 = text_input(enc.text, ["alpha beta", "gamma"], ["VLDB", "KDD"])
+        np.testing.assert_array_equal(x2[1], 0.5 * (enc.text("gamma") + enc.text("KDD")))
 
 
 class TestProperties:

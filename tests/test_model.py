@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from namelink.encoders import FeatureVectorPair
 from namelink.model import (
     AdamState,
     CheckpointError,
@@ -13,12 +13,10 @@ from namelink.model import (
     ModelParams,
     adam_step,
     class_weights,
-    forward,
     forward_batch,
     init_adam_state,
     init_model,
     load_checkpoint,
-    loss_and_gradients,
     loss_and_gradients_batch,
     save_checkpoint,
 )
@@ -142,10 +140,9 @@ class TestForward:
         e0, e1 = math.exp(2.0), math.exp(-0.7)
         expect = [e0 / (e0 + e1), e1 / (e0 + e1)]
 
-        pair = FeatureVectorPair(x1=np.array([1.0, 2.0]), x2=np.array([0.5, -1.0]))
-        probs, cache = forward(params, pair)
+        probs, cache = forward_batch(params, np.array([[1.0, 2.0]]), np.array([[0.5, -1.0]]))
         assert cache is None
-        np.testing.assert_allclose(probs, expect, rtol=1e-12)
+        np.testing.assert_allclose(probs[0], expect, rtol=1e-12)
 
     def test_zero_params_give_uniform_probs(self):
         params = ModelParams(TINY, np.zeros(TINY.n_params))
@@ -173,8 +170,8 @@ class TestForward:
         params = init_model(TINY)
         x1, x2 = random_inputs(TINY, 4, seed=4)
         batch, _ = forward_batch(params, x1, x2)
-        one, _ = forward(params, FeatureVectorPair(x1=x1[2], x2=x2[2]))
-        np.testing.assert_array_equal(one, batch[2])
+        one, _ = forward_batch(params, x1[2:3], x2[2:3])
+        np.testing.assert_array_equal(one[0], batch[2])
 
     def test_train_mode_without_dropout_matches_infer(self):
         params = init_model(TINY)
@@ -191,15 +188,15 @@ class TestLossAndGradients:
         x1, x2 = random_inputs(TINY, 10)
         labels = np.arange(10) % TINY.n_classes
         weights = np.ones(10)
-        loss, _ = loss_and_gradients_batch(params, x1, x2, labels, weights, mode="infer")
+        loss, _ = loss_and_gradients_batch(params, x1, x2, labels, weights)
         assert loss == pytest.approx(math.log(TINY.n_classes), abs=1e-9)
 
     def test_sample_weights_scale_loss_linearly(self):
         params = init_model(TINY)
         x1, x2 = random_inputs(TINY, 7, seed=6)
         labels = np.arange(7) % TINY.n_classes
-        base, gbase = loss_and_gradients_batch(params, x1, x2, labels, np.ones(7), mode="infer")
-        doubled, gdoubled = loss_and_gradients_batch(params, x1, x2, labels, 2.0 * np.ones(7), mode="infer")
+        base, gbase = loss_and_gradients_batch(params, x1, x2, labels, np.ones(7))
+        doubled, gdoubled = loss_and_gradients_batch(params, x1, x2, labels, 2.0 * np.ones(7))
         assert doubled == pytest.approx(2.0 * base, rel=1e-12)
         np.testing.assert_allclose(gdoubled, 2.0 * gbase, rtol=1e-12)
 
@@ -208,11 +205,9 @@ class TestLossAndGradients:
         x1, x2 = random_inputs(TINY, 3, seed=7)
         labels = np.array([0, 2, 1])
         weights = np.array([1.0, 0.5, 2.0])
-        batch_loss, batch_grad = loss_and_gradients_batch(params, x1, x2, labels, weights, mode="infer")
+        batch_loss, batch_grad = loss_and_gradients_batch(params, x1, x2, labels, weights)
         singles = [
-            loss_and_gradients(
-                params, FeatureVectorPair(x1=x1[i], x2=x2[i]), int(labels[i]), float(weights[i]), mode="infer"
-            )
+            loss_and_gradients_batch(params, x1[i : i + 1], x2[i : i + 1], labels[i : i + 1], weights[i : i + 1])
             for i in range(3)
         ]
         assert batch_loss == pytest.approx(sum(s[0] for s in singles) / 3.0, rel=1e-12)
@@ -226,10 +221,10 @@ class TestLossAndGradients:
 
         def loss_at(flat):
             probe = ModelParams(TINY, flat.copy())
-            value, _ = loss_and_gradients_batch(probe, x1, x2, labels, weights, mode="infer")
+            value, _ = loss_and_gradients_batch(probe, x1, x2, labels, weights)
             return value
 
-        _, grad = loss_and_gradients_batch(params, x1, x2, labels, weights, mode="infer")
+        _, grad = loss_and_gradients_batch(params, x1, x2, labels, weights)
         h = 1e-6
         rng = np.random.default_rng(9)
         for k in rng.choice(params.n_params, size=60, replace=False):
@@ -246,21 +241,13 @@ class TestLossAndGradients:
         labels = np.zeros(6, dtype=int)
         weights = np.ones(6)
         l1, g1 = loss_and_gradients_batch(
-            params, x1, x2, labels, weights, mode="train", rng=np.random.default_rng(42)
+            params, x1, x2, labels, weights, rng=np.random.default_rng(42)
         )
         l2, g2 = loss_and_gradients_batch(
-            params, x1, x2, labels, weights, mode="train", rng=np.random.default_rng(42)
+            params, x1, x2, labels, weights, rng=np.random.default_rng(42)
         )
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
-
-    def test_invalid_label_rejected(self):
-        params = init_model(TINY)
-        pair = FeatureVectorPair(x1=np.zeros(TINY.input1_dim), x2=np.zeros(TINY.input2_dim))
-        with pytest.raises(ValueError):
-            loss_and_gradients(params, pair, TINY.n_classes)
-        with pytest.raises(ValueError):
-            loss_and_gradients(params, pair, 0, class_weight=0.0)
 
 
 class TestDropout:
@@ -301,16 +288,6 @@ class TestDropout:
         # per-unit std of h*mask is |h| for rate 0.5; allow 4 sigma of the mean
         sigma = np.abs(ref) / math.sqrt(n)
         assert np.all(np.abs(mean - ref) <= 4.0 * sigma + 1e-12)
-
-    def test_branch_dropout_only_when_enabled(self):
-        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5, "dropout_branches": True})
-        params = init_model(cfg)
-        x1, x2 = random_inputs(cfg, 2, seed=15)
-        _, cache = forward_batch(params, x1, x2, mode="train", rng=np.random.default_rng(1))
-        assert cache["mask1"] is not None and cache["mask2"] is not None
-        plain = init_model(ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5}))
-        _, cache2 = forward_batch(plain, x1, x2, mode="train", rng=np.random.default_rng(1))
-        assert cache2["mask1"] is None
 
 
 class TestAdam:
@@ -455,6 +432,35 @@ class TestCheckpoint:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.npz")
+
+    def saved_with_config(self, tmp_path, **changes):
+        """A checkpoint whose stored model config is edited after saving."""
+        path = tmp_path / "model.npz"
+        params, state = self.make_trained()
+        save_checkpoint(path, params, state, self.classes())
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        meta["config"].update(changes)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        return path, params
+
+    def test_legacy_branch_dropout_off_still_loads(self, tmp_path):
+        path, params = self.saved_with_config(tmp_path, dropout_branches=False)
+        bundle = load_checkpoint(path)
+        assert bundle.params.config == params.config
+        np.testing.assert_array_equal(bundle.params.flat, params.flat)
+
+    def test_legacy_branch_dropout_on_rejected(self, tmp_path):
+        path, _ = self.saved_with_config(tmp_path, dropout_branches=True)
+        with pytest.raises(CheckpointError, match="branch dropout"):
+            load_checkpoint(path)
+
+    def test_unknown_config_key_rejected(self, tmp_path):
+        path, _ = self.saved_with_config(tmp_path, no_such_field=1)
+        with pytest.raises(CheckpointError, match="no_such_field"):
+            load_checkpoint(path)
 
 
 class TestProperties:

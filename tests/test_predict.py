@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from namelink.encoders import assemble_features, default_encoders
-from namelink.model import ModelConfig, ModelParams, forward, init_model
+from namelink import predict
+from namelink.encoders import default_encoders
+from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
 from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.predict import (
     PredictionError,
@@ -90,7 +91,7 @@ SMALL = ModelConfig(
 
 
 def brute_force(params, record, target_name, variate_mode, encoders, aggregation):
-    """Re-derive the scores pair by pair through the scalar code path."""
+    """Re-derive the scores pair by pair, building each pair's input inline."""
     forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
     forms.append(name_forms(normalize_name(target_name)))
     if variate_mode == MODE_FULL:
@@ -101,11 +102,10 @@ def brute_force(params, record, target_name, variate_mode, encoders, aggregation
         first = forms[-1].anv_first
     per_pair = []
     for p, j in itertools.combinations(range(len(pool)), 2):
-        pair = assemble_features(
-            first, pool[p], pool[j], record.title, record.source, encoders.name, encoders.text
-        )
-        probs, _ = forward(params, pair)
-        per_pair.append(probs)
+        x1 = np.concatenate([encoders.name(first), 0.5 * (encoders.name(pool[p]) + encoders.name(pool[j]))])
+        x2 = 0.5 * (encoders.text(record.title) + encoders.text(record.source))
+        probs, _ = forward_batch(params, x1[None, :], x2[None, :])
+        per_pair.append(probs[0])
     stacked = np.stack(per_pair)
     return stacked.sum(axis=0) if aggregation == "sum" else stacked.max(axis=0)
 
@@ -157,6 +157,27 @@ class TestPredictAuthor:
             want = brute_force(params, record, "Wei Fan", mode, enc, aggregation)
             np.testing.assert_allclose(pred.scores, want, atol=1e-10)
             assert pred.chosen == CLASSES[int(np.argmax(want))]
+
+    @pytest.mark.parametrize("aggregation", ["sum", "max"])
+    def test_pool_beyond_one_chunk_matches_brute_force(self, aggregation, monkeypatch):
+        """omega = 95 gives C(96, 2) = 4560 pairs, more than one forward pass takes."""
+        calls = []
+
+        def counting_forward(*args, **kwargs):
+            calls.append(args[1].shape[0])
+            return forward_batch(*args, **kwargs)
+
+        monkeypatch.setattr(predict, "forward_batch", counting_forward)
+        enc = default_encoders()
+        params = init_model(SMALL)
+        names = ["Wei Fan"] + [f"Co Author{k}" for k in range(94)]
+        record = rec("big", *names, title="a long author list", source="X")
+        pred = predict_author(params, CLASS_INDEX, record, "W Fan", MODE_FULL, enc, aggregation)
+        assert pred.pair_count == 4560
+        assert calls == [predict.PAIR_CHUNK, 4560 - predict.PAIR_CHUNK]
+        want = brute_force(params, record, "W Fan", MODE_FULL, enc, aggregation)
+        np.testing.assert_allclose(pred.scores, want, atol=1e-10)
+        assert pred.chosen == CLASSES[int(np.argmax(want))]
 
     def test_author_order_invariance(self):
         """Same unordered pair set regardless of how the record lists names."""

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namelink.blocking import build_block
-from namelink.encoders import assemble_features, default_encoders
+from namelink.encoders import default_encoders
 from namelink.model import ModelConfig
 from namelink.names import build_author_registry, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
@@ -213,7 +213,7 @@ class TestSampleBank:
         assert bank.labels.tolist() == [0] * 6 + [0] * 4 + [1] * 4 + [1] * 2
 
     def test_rows_match_assemble_features(self):
-        """The vectorized bank must agree with the scalar assembly path."""
+        """The vectorized bank must agree with a per-sample scalar assembly."""
         block = self.make_block()
         enc = default_encoders()
         bank = SampleBank(block.entries, block.class_index, enc)
@@ -223,11 +223,12 @@ class TestSampleBank:
         i = 0
         for entry in block.entries:
             for s in generate_training_samples(entry.record, entry.position, block.class_index, replay):
-                pair = assemble_features(
-                    s.target_first_name, s.coauthor_p, s.coauthor_j, s.title, s.source, enc.name, enc.text
+                x1 = np.concatenate(
+                    [enc.name(s.target_first_name), 0.5 * (enc.name(s.coauthor_p) + enc.name(s.coauthor_j))]
                 )
-                np.testing.assert_allclose(bank.x1[i], pair.x1, atol=1e-12)
-                np.testing.assert_allclose(bank.x2[i], pair.x2, atol=1e-12)
+                x2 = 0.5 * (enc.text(s.title) + enc.text(s.source))
+                np.testing.assert_allclose(bank.x1[i], x1, atol=1e-12)
+                np.testing.assert_allclose(bank.x2[i], x2, atol=1e-12)
                 assert bank.labels[i] == s.label
                 i += 1
         assert i == bank.n_samples
