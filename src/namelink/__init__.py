@@ -54,11 +54,9 @@ from .training import (
     SplitAssignment,
     TrainingError,
     TrainingMonitor,
-    TrainingSample,
     TrainResult,
     TrainRunConfig,
     derive_block_seeds,
-    generate_training_samples,
     split_per_author,
     train_block_model,
 )

@@ -47,7 +47,7 @@ from .model import CheckpointError, load_checkpoint, save_checkpoint
 from .names import build_author_registry
 from .predict import PredictionError, RouteKind, predict_author, render_prediction, route_name
 from .records import DEFAULT_KINDS
-from .store import CorpusStoreError, load_corpus, read_corpus_store, write_corpus_store
+from .store import CorpusStoreError, atomic_path, load_corpus, read_corpus_store, write_corpus_store
 from .synth import SynthConfig, SynthError, gen_synth
 from .training import (
     MODE_ANV,
@@ -68,6 +68,7 @@ _OPERATIONAL_ERRORS = (
     DblpParseError,
     EmbeddingTableError,
     EvaluationError,
+    FloatingPointError,
     PredictionError,
     SynthError,
     TrainingError,
@@ -92,7 +93,7 @@ def _load_block(corpus_path: str, variate_key: str) -> Block:
 
 
 def _slug(variate_key: str) -> str:
-    return re.sub(r"[^a-z0-9]+", "_", variate_key.casefold()).strip("_")
+    return re.sub(r"\W+", "_", variate_key.casefold()).strip("_")
 
 
 def _train_config(args) -> TrainRunConfig:
@@ -134,7 +135,8 @@ def _train_single_block(
         "val_on_train": result.val_on_train,
     }
     save_checkpoint(checkpoint_path, result.best_params, result.best_adam_state, list(block.authors), extra)
-    Path(history_path).write_text("\n".join(history_lines(result.history)) + "\n", encoding="utf-8")
+    with atomic_path(history_path) as tmp:
+        tmp.write_text("\n".join(history_lines(result.history)) + "\n", encoding="utf-8")
     return {
         "variate": block.display_variate,
         "classes": block.n_classes,
@@ -213,8 +215,10 @@ def _cmd_train(args) -> dict:
         checkpoint_paths = [out if out.endswith(".npz") else out + ".npz"]
     else:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         checkpoint_paths = [str(out_dir / f"{_slug(key)}.npz") for key in blocks]
+        if len(set(checkpoint_paths)) < len(blocks):
+            raise ValueError(f"--block values {blocks} do not map to distinct checkpoint files in {out_dir}")
+        out_dir.mkdir(parents=True, exist_ok=True)
     for key, ckpt in zip(blocks, checkpoint_paths):
         jobs.append(
             (

@@ -29,6 +29,8 @@ import numpy as np
 
 NAME_DIM = 200
 TEXT_DIM = 768
+# distinct strings an encoder instance keeps encoded; later ones are re-encoded
+CACHE_SIZE = 1 << 17
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -51,7 +53,23 @@ def _finalize(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-class HashingNameEncoder:
+class _CachedEncoder:
+    """Memoizes ``_encode`` for the first ``CACHE_SIZE`` distinct strings."""
+
+    def __init__(self):
+        self._cache: dict[str, np.ndarray] = {}
+
+    def __call__(self, text: str) -> np.ndarray:
+        cached = self._cache.get(text)
+        if cached is not None:
+            return cached
+        vec = self._encode(text)
+        if len(self._cache) < CACHE_SIZE:
+            self._cache[text] = vec
+        return vec
+
+
+class HashingNameEncoder(_CachedEncoder):
     """Character n-gram (n=1..3) hashing into 200 signed buckets.
 
     Words are wrapped in boundary markers before n-gram extraction and the
@@ -60,19 +78,6 @@ class HashingNameEncoder:
     """
 
     dim = NAME_DIM
-
-    def __init__(self, cache_size: int = 1 << 17):
-        self._cache: dict[str, np.ndarray] = {}
-        self._cache_size = cache_size
-
-    def __call__(self, text: str) -> np.ndarray:
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        vec = self._encode(text)
-        if len(self._cache) < self._cache_size:
-            self._cache[text] = vec
-        return vec
 
     def _encode(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
@@ -93,7 +98,7 @@ class HashingNameEncoder:
         return _finalize(vec)
 
 
-class HashingTextEncoder:
+class HashingTextEncoder(_CachedEncoder):
     """Token hashing into 768 signed buckets with mean pooling.
 
     Lowercases, splits on non-alphanumerics, maps each token occurrence to
@@ -102,19 +107,6 @@ class HashingTextEncoder:
     """
 
     dim = TEXT_DIM
-
-    def __init__(self, cache_size: int = 1 << 17):
-        self._cache: dict[str, np.ndarray] = {}
-        self._cache_size = cache_size
-
-    def __call__(self, text: str) -> np.ndarray:
-        cached = self._cache.get(text)
-        if cached is not None:
-            return cached
-        vec = self._encode(text)
-        if len(self._cache) < self._cache_size:
-            self._cache[text] = vec
-        return vec
 
     def _encode(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)

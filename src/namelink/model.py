@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .records import AuthorId
+from .store import atomic_path
 
 LOG_FLOOR = 1e-12
 
@@ -377,7 +378,8 @@ def save_checkpoint(
     """Persist parameters, optimizer state and the class mapping.
 
     The container is an npz archive: a JSON metadata blob plus raw float64
-    arrays, so reloads are bit-exact.
+    arrays, so reloads are bit-exact.  Like np.savez, it appends .npz to a
+    ``path`` without it; the file is replaced only once fully written.
     """
     if len(class_index) != params.config.n_classes:
         raise CheckpointError(
@@ -397,7 +399,9 @@ def save_checkpoint(
         "extra": extra or {},
     }
     meta_bytes = np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, meta=meta_bytes, params=params.flat, adam_m=adam_state.m, adam_v=adam_state.v)
+    path = str(path)
+    with atomic_path(path if path.endswith(".npz") else path + ".npz") as tmp:
+        np.savez(tmp, meta=meta_bytes, params=params.flat, adam_m=adam_state.m, adam_v=adam_state.v)
 
 
 @dataclass
@@ -421,7 +425,13 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
-    stored = dict(meta["config"])
+    try:
+        stored = dict(meta["config"])
+        a = meta["adam"]
+        adam_state = AdamState(t=a["t"], lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], m=adam_m, v=adam_v)
+        classes = [AuthorId(base, idx) for base, idx in meta["classes"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"bad metadata in checkpoint {path}: missing or malformed {exc}") from exc
     # configs written before branch dropout was removed carry it, always off
     if stored.pop("dropout_branches", False) is not False:
         raise CheckpointError(f"checkpoint {path} enables branch dropout, which is not supported")
@@ -434,7 +444,4 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
             f"checkpoint has {config.n_classes} classes, expected {expected_classes}"
         )
     params = ModelParams(config, flat)
-    a = meta["adam"]
-    adam_state = AdamState(t=a["t"], lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], m=adam_m, v=adam_v)
-    classes = [AuthorId(base, idx) for base, idx in meta["classes"]]
     return CheckpointBundle(params=params, adam_state=adam_state, class_index=classes, extra=meta.get("extra", {}))

@@ -9,6 +9,8 @@ byte-identically.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -57,16 +59,35 @@ def record_from_json(payload: dict) -> BibRecord:
     )
 
 
+@contextmanager
+def atomic_path(path: str | Path) -> Iterator[Path]:
+    """A temporary path beside ``path`` to write to: it replaces ``path``
+    when the block exits cleanly and is removed when it raises, so a failed
+    write leaves the old file as it was.
+
+    The temporary name ends in ``path``'s own suffix, so a writer that
+    appends one to any other name (np.savez adds .npz) writes to it as given.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp{path.suffix}")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_corpus_store(records: Iterable[BibRecord], path: str | Path) -> StoreSummary:
     """Write records to ``path``; returns (record count, author-mention count).
 
-    Fails on the first duplicate record key, naming it.
+    Fails on the first duplicate record key, naming it.  ``path`` is replaced
+    only once every record is written; on any failure it keeps its old bytes.
     """
     path = Path(path)
     seen: set[str] = set()
     n_records = 0
     n_mentions = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(STORE_VERSION + "\n")
         for record in records:
             if record.record_key in seen:

@@ -1,10 +1,11 @@
-"""Per-author splits, training-sample generation and the block training loop.
+"""Per-author splits, the training samples and the block training loop.
 
-Each block entry (record, target position) becomes 2*omega training samples:
-one per co-author position p in full-name form plus an abbreviated duplicate
-of each, never mixing the two forms inside a sample.  The second co-author j
-is drawn uniformly at random and redrawn every ``reassign_interval`` epochs,
-so the model cannot latch onto one fixed pairing.
+A :class:`SampleBank` turns each block entry (record, target position) into
+2*omega rows of model input: for every co-author position p a full-name row
+and its abbreviated twin, never mixing the two forms inside a row.  The
+second co-author j of each twin pair is drawn uniformly at random and
+redrawn every ``reassign_interval`` epochs, so the model cannot latch onto
+one fixed pairing.
 
 Training runs mini-batch Adam on the weighted cross-entropy, stops when the
 validation loss has not improved for ``patience`` consecutive epochs, and
@@ -36,7 +37,7 @@ from .model import (
     loss_and_gradients_batch,
 )
 from .names import name_forms, normalize_name
-from .records import AuthorId, BibRecord
+from .records import AuthorId
 
 MODE_FULL = "FULL"
 MODE_ANV = "ANV"
@@ -138,127 +139,60 @@ def split_per_author(block: Block, seed: int) -> SplitAssignment:
     return SplitAssignment(by_author)
 
 
-@dataclass(frozen=True)
-class TrainingSample:
-    """One classifier input in string form: the target's first name, two
-    co-author names, the record's title and source, and the class label."""
-
-    target_first_name: str
-    coauthor_p: str
-    coauthor_j: str
-    title: str
-    source: str
-    label: int
-    variate_mode: str
-    record_key: str
-
-
-def generate_training_samples(
-    record: BibRecord,
-    target_position: int,
-    class_index: dict[AuthorId, int],
-    rng: np.random.Generator,
-) -> list[TrainingSample]:
-    """The 2*omega samples of one record: for every author position p a
-    full-name sample plus an abbreviated twin sharing p and the random j.
-
-    p runs over all omega positions, the target's own included; j is drawn
-    uniformly over all positions and may coincide with p or the target.
-    Solo-author records have no co-authors to pair, so both slots carry the
-    empty sentinel and the record still yields its two samples.
-    """
-    mentions = record.authors
-    omega = len(mentions)
-    target = mentions[target_position]
-    label = class_index[target.author_id]
-    forms = [name_forms(normalize_name(m.display_name)) for m in mentions]
-    tf = forms[target_position]
-
-    samples: list[TrainingSample] = []
-    if omega == 1:
-        for mode, first in ((MODE_FULL, tf.full_first), (MODE_ANV, tf.anv_first)):
-            samples.append(
-                TrainingSample(first, "", "", record.title, record.source, label, mode, record.record_key)
-            )
-        return samples
-    for p in range(omega):
-        j = int(rng.integers(omega))
-        samples.append(
-            TrainingSample(
-                tf.full_first, forms[p].full, forms[j].full,
-                record.title, record.source, label, MODE_FULL, record.record_key,
-            )
-        )
-        samples.append(
-            TrainingSample(
-                tf.anv_first, forms[p].anv, forms[j].anv,
-                record.title, record.source, label, MODE_ANV, record.record_key,
-            )
-        )
-    return samples
-
-
 class SampleBank:
-    """Vectorized cache of a sample list with redrawable j assignments.
+    """Every training input of a list of block entries, held as row indices
+    into one matrix of encoded names.
 
-    Row order and all static columns come from ``generate_training_samples``
-    run over the entries in order; ``assign_coauthors`` reruns the generator
-    with a fresh rng and rewrites x1 in place with the new j indices.  Name
-    vectors are encoded once into a shared matrix, so a reassignment is fancy
-    indexing through :func:`name_input` rather than a re-encode.
+    The sample rule: an entry (record, target position) whose record has
+    omega authors gives 2*omega rows.  For each author position p, the target
+    included, there is a full-name row and then its abbreviated twin.  A row
+    is the target's first name ++ the mean of the names at p and j, all in
+    the row's form, with the record's title/source text and the target's
+    class as label.  j is drawn uniformly over the omega positions (it may
+    equal p or the target), is shared by the twin, and is redrawn by
+    ``assign_coauthors`` (before the first draw the j slot is empty).  A
+    solo record has no co-authors and gives one pair of rows with both
+    co-author slots empty; the empty name encodes as the zero vector.
     """
 
     def __init__(self, entries: Sequence[BlockEntry], class_index: dict[AuthorId, int], encoders: Encoders):
-        self.entries = list(entries)
-        self.class_index = class_index
         string_ids: dict[str, int] = {"": 0}
-        rows_first: list[int] = []
-        rows_p: list[int] = []
+        intern = lambda s: string_ids.setdefault(s, len(string_ids))
+        first_ids: list[int] = []
+        p_ids: list[int] = []
         labels: list[int] = []
-        record_rows: dict[str, int] = {}
-        rows_record: list[int] = []
-        records: list[BibRecord] = []
+        rows_per_entry: list[int] = []
+        pair_start: list[int] = []
+        pair_omega: list[int] = []
+        for entry in entries:
+            forms = [name_forms(normalize_name(m.display_name)) for m in entry.record.authors]
+            target = forms[entry.position]
+            coauthors = [(f.full, f.anv) for f in forms] if len(forms) > 1 else [("", "")]
+            pair_start += [len(p_ids)] * len(coauthors)
+            pair_omega += [len(coauthors)] * len(coauthors)
+            for full, anv in coauthors:
+                first_ids += [intern(target.full_first), intern(target.anv_first)]
+                p_ids += [intern(full), intern(anv)]
+            rows_per_entry.append(2 * len(coauthors))
+            labels += [class_index[entry.target.author_id]] * rows_per_entry[-1]
 
-        def intern(s: str) -> int:
-            idx = string_ids.get(s)
-            if idx is None:
-                idx = len(string_ids)
-                string_ids[s] = idx
-            return idx
-
-        structure_rng = np.random.default_rng(0)
-        for entry in self.entries:
-            samples = generate_training_samples(entry.record, entry.position, class_index, structure_rng)
-            # register every possible j string so later redraws always hit
-            for mention in entry.record.authors:
-                f = name_forms(normalize_name(mention.display_name))
-                intern(f.full)
-                intern(f.anv)
-            rec_row = record_rows.get(entry.record.record_key)
-            if rec_row is None:
-                rec_row = len(records)
-                record_rows[entry.record.record_key] = rec_row
-                records.append(entry.record)
-            for s in samples:
-                rows_first.append(intern(s.target_first_name))
-                rows_p.append(intern(s.coauthor_p))
-                labels.append(s.label)
-                rows_record.append(rec_row)
-
-        self._string_ids = string_ids
         self._vectors = np.stack([np.asarray(encoders.name(s)) for s in string_ids])
         self.name_dim = self._vectors.shape[1]
-        self._first_ids = np.array(rows_first, dtype=np.intp)
-        self._p_ids = np.array(rows_p, dtype=np.intp)
-        self._j_ids = np.zeros(len(rows_first), dtype=np.intp)
+        self._first_ids = np.array(first_ids, dtype=np.intp)
+        self._p_ids = np.array(p_ids, dtype=np.intp)
+        self._j_ids = np.zeros(len(p_ids), dtype=np.intp)
+        # per twin pair: its entry's first row and omega, to draw j from
+        self._pair_start = np.array(pair_start, dtype=np.intp)
+        self._pair_omega = np.array(pair_omega, dtype=np.int64)
         self.labels = np.array(labels, dtype=np.int64)
-        if records:
+        if rows_per_entry:
+            records = [e.record for e in entries]
             text_rows = text_input(encoders.text, [r.title for r in records], [r.source for r in records])
-            self.x2 = text_rows[np.array(rows_record, dtype=np.intp)]
+            self.x2 = np.repeat(text_rows, rows_per_entry, axis=0)
         else:
             self.x2 = np.zeros((0, 0))
         self.text_dim = self.x2.shape[1]
-        self.x1 = np.empty((len(rows_first), 2 * self.name_dim))
+        self.x1 = np.empty((len(p_ids), 2 * self.name_dim))
         self._build_x1()
 
     @property
@@ -266,13 +200,12 @@ class SampleBank:
         return self.labels.size
 
     def assign_coauthors(self, rng: np.random.Generator) -> None:
-        """Redraw every sample's j using ``rng``, entry by entry."""
-        row = 0
-        for entry in self.entries:
-            samples = generate_training_samples(entry.record, entry.position, self.class_index, rng)
-            for s in samples:
-                self._j_ids[row] = self._string_ids[s.coauthor_j]
-                row += 1
+        """Redraw every twin pair's j: one ``rng.integers(omega)`` per pair
+        in row order (omega = 1 consumes nothing), so the stream is that of
+        a scalar draw per position p, entry by entry."""
+        j_row = self._pair_start + 2 * rng.integers(self._pair_omega)
+        self._j_ids[0::2] = self._p_ids[j_row]
+        self._j_ids[1::2] = self._p_ids[j_row + 1]
         self._build_x1()
 
     def _build_x1(self) -> None:

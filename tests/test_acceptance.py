@@ -21,7 +21,7 @@ import pytest
 
 import conftest
 
-from namelink.blocking import block_stats, build_block
+from namelink.blocking import BlockEntry, block_stats, build_block
 from namelink.dblp_xml import ParseCounters, parse_dblp_stream
 from namelink.encoders import default_encoders
 from namelink.metrics import EVAL_ALL, EVAL_ANV, evaluate_block, micro_macro_report
@@ -40,10 +40,10 @@ from namelink.synth import SynthConfig, gen_synth
 from namelink.training import (
     MODE_ANV,
     MODE_FULL,
+    SampleBank,
     TrainingMonitor,
     TrainRunConfig,
     derive_block_seeds,
-    generate_training_samples,
     split_per_author,
     train_block_model,
 )
@@ -210,35 +210,48 @@ def test_a3_pairwise_prediction_oracle():
 
 
 def test_a4_sample_generation_law():
-    """Every record yields 2*omega samples, half per name mode, unmixed."""
+    """Every record yields 2*omega rows, full and abbreviated in turn, unmixed,
+    each twin pair sharing its j."""
     try:
         rng = np.random.default_rng(104)
+        enc = default_encoders()
+        dim = enc.name.dim
         for trial in range(100):
             omega = int(rng.integers(1, 7))
             record = make_record(rng, f"s{trial}", omega)
             position = int(rng.integers(omega))
             class_index = {m.author_id: i for i, m in enumerate(record.authors)}
-            samples = generate_training_samples(record, position, class_index, rng)
-            assert len(samples) == 2 * omega
-            by_mode = Counter(s.variate_mode for s in samples)
-            assert by_mode[MODE_FULL] == omega
-            assert by_mode[MODE_ANV] == omega
+            bank = SampleBank([BlockEntry(record, position)], class_index, enc)
+            bank.assign_coauthors(rng)
+            x1 = bank.x1
+            assert x1.shape[0] == 2 * omega
 
             forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
-            fulls = {f.full for f in forms} | {""}
-            anvs = {f.anv for f in forms} | {""}
             target = forms[position]
-            for s in samples:
-                if s.variate_mode == MODE_FULL:
-                    assert s.target_first_name == target.full_first
-                    assert s.coauthor_p in fulls and s.coauthor_j in fulls
-                else:
-                    assert s.target_first_name == target.anv_first
-                    assert s.coauthor_p in anvs and s.coauthor_j in anvs
+            np.testing.assert_array_equal(x1[0::2, :dim], np.tile(enc.name(target.full_first), (omega, 1)))
+            np.testing.assert_array_equal(x1[1::2, :dim], np.tile(enc.name(target.anv_first), (omega, 1)))
+
+            # p's name per row in each mode; a solo record pairs the empty name
+            fulls = [f.full for f in forms] if omega > 1 else [""]
+            anvs = [f.anv for f in forms] if omega > 1 else [""]
+            for k in range(len(fulls)):
+                js = []
+                for row, names in ((x1[2 * k], fulls), (x1[2 * k + 1], anvs)):
+                    pair = row[dim:]
+                    pool = names + [""]
+                    assert any(
+                        np.allclose(pair, 0.5 * (enc.name(a) + enc.name(b)), rtol=0, atol=1e-12)
+                        for a in pool for b in pool
+                    ), "pair half mixes modes"
+                    js.append({
+                        j for j, n in enumerate(names)
+                        if np.allclose(pair, 0.5 * (enc.name(names[k]) + enc.name(n)), rtol=0, atol=1e-12)
+                    })
+                assert js[0] & js[1], "twins draw different j"
     except BaseException:
         report("A-4", "FAIL")
         raise
-    report("A-4", "PASS", "100 records, 2*omega split omega/omega, modes pure")
+    report("A-4", "PASS", "100 records, 2*omega rows alternating full/abbreviated, modes pure, twins share j")
 
 
 def test_a5_splitter_partition():

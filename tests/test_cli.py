@@ -1,11 +1,16 @@
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import namelink.training
 from namelink.cli import main
 from namelink.model import load_checkpoint, save_checkpoint
 from namelink.records import AuthorId
+from namelink.store import write_corpus_store
+from namelink.synth import SynthConfig, gen_synth
 
 FIXTURE_XML = str(Path(__file__).parent / "data" / "dblp_fixture.xml")
 
@@ -16,6 +21,18 @@ def resave(src, dst, class_index=None, drop_extra=()):
     extra = {k: v for k, v in bundle.extra.items() if k not in drop_extra}
     save_checkpoint(dst, bundle.params, bundle.adam_state, class_index or bundle.class_index, extra)
     return str(dst)
+
+
+def manifest_entries(path):
+    return [json.loads(line) for line in Path(path).read_text("utf-8").splitlines()]
+
+
+def assert_operational_error(rc, capsys, manifest):
+    """Exit 1, an ``error:`` line and one manifest entry with status error."""
+    assert rc == 1
+    assert "error:" in capsys.readouterr().err
+    (entry,) = manifest_entries(manifest)
+    assert entry["status"] == "error"
 
 
 @pytest.fixture(scope="module")
@@ -165,6 +182,20 @@ class TestIngest:
         assert rc == 0
         assert "records\t51" in stdout
 
+    def test_failed_ingest_keeps_old_store(self, tmp_path, capsys):
+        out = tmp_path / "corpus.ndjson"
+        assert main(["ingest", "--xml", FIXTURE_XML, "--out", str(out), "--manifest", str(tmp_path / "m")]) == 0
+        before = out.read_bytes()
+        bad = tmp_path / "bad.xml"
+        text = Path(FIXTURE_XML).read_text("utf-8")
+        # a bad tag halfway through: the records before it parse, then the run fails
+        cut = text.index("<article", len(text) // 2)
+        bad.write_text(text[:cut] + '<article key="x/1"><title>t</titel></article>\n' + text[cut:], "utf-8")
+        rc = main(["ingest", "--xml", str(bad), "--out", str(out), "--manifest", str(tmp_path / "m2")])
+        assert_operational_error(rc, capsys, tmp_path / "m2")
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.xml", "corpus.ndjson", "m", "m2"]
+
     def test_missing_xml(self, tmp_path, capsys):
         rc = main(
             [
@@ -257,6 +288,65 @@ class TestTrain:
         assert rc == 0
         names = sorted(p.name for p in out_dir.glob("*.npz"))
         assert len(names) == 2
+
+    def test_distinct_blocks_get_distinct_checkpoints(self, tmp_path, capsys):
+        # blocks whose names differ only outside ASCII
+        records = []
+        for variate in ("Ä Lee", "Ö Lee", "李 王"):
+            synth = gen_synth(SynthConfig(n_authors=2, variate_key=variate, records_per_author=6, vocab_size=6))
+            records += [dataclasses.replace(r, record_key=f"{variate}/{r.record_key}") for r in synth.records]
+        corpus = tmp_path / "corpus.ndjson"
+        write_corpus_store(records, corpus)
+        out_dir = tmp_path / "models"
+        manifest = str(tmp_path / "m")
+        argv = ["train", "--corpus", str(corpus), "--out", str(out_dir), "--max-epochs", "1", "--manifest", manifest]
+        rc = main(argv + ["--block", "Ä Lee", "--block", "Ö Lee", "--block", "李 王"])
+        assert rc == 0
+        assert sorted(p.name for p in out_dir.glob("*.npz")) == ["ä_lee.npz", "ö_lee.npz", "李_王.npz"]
+        for variate, name in (("Ä Lee", "ä_lee.npz"), ("Ö Lee", "ö_lee.npz"), ("李 王", "李_王.npz")):
+            rc = main(
+                ["evaluate", "--corpus", str(corpus), "--block", variate, "--checkpoint", str(out_dir / name),
+                 "--manifest", manifest]
+            )
+            assert rc == 0
+
+    def test_blocks_sharing_a_checkpoint_path_rejected(self, ws, tmp_path, capsys):
+        out_dir = tmp_path / "models"
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--block", "y chen",
+                "--out", str(out_dir),
+                "--manifest", str(manifest),
+            ]
+        )
+        assert_operational_error(rc, capsys, manifest)
+        assert not out_dir.exists()
+
+    def test_non_finite_gradient_is_operational_error(self, ws, tmp_path, capsys, monkeypatch):
+        real = namelink.training.loss_and_gradients_batch
+
+        def nan_gradient(*args, **kwargs):
+            loss, grad = real(*args, **kwargs)
+            return loss, np.full_like(grad, np.nan)
+
+        monkeypatch.setattr(namelink.training, "loss_and_gradients_batch", nan_gradient)
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(tmp_path / "t.npz"),
+                "--max-epochs", "1",
+                "--manifest", str(manifest),
+            ]
+        )
+        assert_operational_error(rc, capsys, manifest)
+        assert not (tmp_path / "t.npz").exists()
 
     def test_reported_checkpoint_path_is_the_written_file(self, ws, tmp_path, capsys):
         manifest = tmp_path / "m"
@@ -364,6 +454,28 @@ class TestEvaluate:
         )
         assert rc == 0
         assert "MiAF1 (All)\t" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("key", ["config", "adam", "classes"])
+    def test_checkpoint_metadata_missing_key(self, ws, tmp_path, capsys, key):
+        with np.load(ws["ckpt"]) as archive:
+            arrays = dict(archive)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        del meta[key]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        ckpt = tmp_path / "broken.npz"
+        np.savez(ckpt, **arrays)
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", str(ckpt),
+                "--manifest", str(manifest),
+            ]
+        )
+        assert_operational_error(rc, capsys, manifest)
 
 
 class TestPredict:

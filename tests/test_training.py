@@ -3,14 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from namelink.blocking import build_block
+from namelink.blocking import BlockEntry, build_block
 from namelink.encoders import default_encoders
 from namelink.model import ModelConfig
-from namelink.names import build_author_registry, normalize_name
+from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
-    MODE_ANV,
-    MODE_FULL,
     SampleBank,
     Split,
     SplitAssignment,
@@ -18,7 +16,6 @@ from namelink.training import (
     TrainingError,
     TrainingMonitor,
     derive_block_seeds,
-    generate_training_samples,
     split_per_author,
     train_block_model,
 )
@@ -129,66 +126,88 @@ def class_index_for(record):
     return {m.author_id: i for i, m in enumerate(record.authors)}
 
 
+FULLS = ["Alan Turing", "Grace Hopper", "Kurt Goedel", "Ada Lovelace"]
+ANVS = ["A Turing", "G Hopper", "K Goedel", "A Lovelace"]
+
+
+def one_entry_bank(record, position, enc, seed=None):
+    """The bank of a single entry, its j drawn from ``seed`` when given."""
+    bank = SampleBank([BlockEntry(record, position)], class_index_for(record), enc)
+    if seed is not None:
+        bank.assign_coauthors(np.random.default_rng(seed))
+    return bank
+
+
+def drawn_j(enc, row, p_name, names):
+    """The positions j whose name completes a row's pair half with p's name."""
+    pair = row[enc.name.dim :]
+    return {
+        j for j, n in enumerate(names)
+        if np.allclose(pair, 0.5 * (enc.name(p_name) + enc.name(n)), rtol=0, atol=1e-12)
+    }
+
+
 class TestGenerateSamples:
+    """The sample rule, read back from one-entry banks."""
+
     def test_two_omega_samples_split_between_modes(self):
-        samples = generate_training_samples(FOUR, 0, class_index_for(FOUR), np.random.default_rng(1))
-        assert len(samples) == 8
-        assert [s.variate_mode for s in samples] == [MODE_FULL, MODE_ANV] * 4
+        enc = default_encoders()
+        bank = one_entry_bank(FOUR, 0, enc, seed=1)
+        assert bank.n_samples == 8
+        np.testing.assert_array_equal(bank.x1[0::2, :200], np.tile(enc.name("Alan"), (4, 1)))
+        np.testing.assert_array_equal(bank.x1[1::2, :200], np.tile(enc.name("A"), (4, 1)))
 
     def test_full_rows_walk_every_position(self):
-        samples = generate_training_samples(FOUR, 0, class_index_for(FOUR), np.random.default_rng(1))
-        full = [s for s in samples if s.variate_mode == MODE_FULL]
-        assert [s.coauthor_p for s in full] == ["Alan Turing", "Grace Hopper", "Kurt Goedel", "Ada Lovelace"]
-        anv = [s for s in samples if s.variate_mode == MODE_ANV]
-        assert [s.coauthor_p for s in anv] == ["A Turing", "G Hopper", "K Goedel", "A Lovelace"]
+        # before the first draw j is the empty name, so the pair half is name(p) / 2
+        enc = default_encoders()
+        bank = one_entry_bank(FOUR, 0, enc)
+        for k in range(4):
+            np.testing.assert_allclose(bank.x1[2 * k, 200:], 0.5 * enc.name(FULLS[k]), atol=1e-12)
+            np.testing.assert_allclose(bank.x1[2 * k + 1, 200:], 0.5 * enc.name(ANVS[k]), atol=1e-12)
 
     def test_modes_never_mix_within_a_sample(self):
-        samples = generate_training_samples(FOUR, 1, class_index_for(FOUR), np.random.default_rng(2))
-        fulls = {"Alan Turing", "Grace Hopper", "Kurt Goedel", "Ada Lovelace"}
-        anvs = {"A Turing", "G Hopper", "K Goedel", "A Lovelace"}
-        for s in samples:
-            if s.variate_mode == MODE_FULL:
-                assert s.target_first_name == "Grace"
-                assert {s.coauthor_p, s.coauthor_j} <= fulls
-            else:
-                assert s.target_first_name == "G"
-                assert {s.coauthor_p, s.coauthor_j} <= anvs
+        enc = default_encoders()
+        bank = one_entry_bank(FOUR, 1, enc, seed=2)
+        np.testing.assert_array_equal(bank.x1[0::2, :200], np.tile(enc.name("Grace"), (4, 1)))
+        np.testing.assert_array_equal(bank.x1[1::2, :200], np.tile(enc.name("G"), (4, 1)))
+        for k in range(4):
+            assert drawn_j(enc, bank.x1[2 * k], FULLS[k], FULLS)
+            assert drawn_j(enc, bank.x1[2 * k + 1], ANVS[k], ANVS)
 
     def test_twins_share_j(self):
-        full_of = {m.display_name: i for i, m in enumerate(FOUR.authors)}
-        anv_of = {
-            "A Turing": 0, "G Hopper": 1, "K Goedel": 2, "A Lovelace": 3,
-        }
-        samples = generate_training_samples(FOUR, 0, class_index_for(FOUR), np.random.default_rng(3))
-        for full_row, anv_row in zip(samples[0::2], samples[1::2]):
-            assert full_of[full_row.coauthor_j] == anv_of[anv_row.coauthor_j]
+        enc = default_encoders()
+        bank = one_entry_bank(FOUR, 0, enc, seed=3)
+        for k in range(4):
+            full_j = drawn_j(enc, bank.x1[2 * k], FULLS[k], FULLS)
+            anv_j = drawn_j(enc, bank.x1[2 * k + 1], ANVS[k], ANVS)
+            assert len(full_j) == 1 and full_j == anv_j
 
     def test_label_and_record_key(self):
-        samples = generate_training_samples(FOUR, 2, class_index_for(FOUR), np.random.default_rng(4))
-        assert {s.label for s in samples} == {2}
-        assert {s.record_key for s in samples} == {"p1"}
-        assert {s.title for s in samples} == {FOUR.title}
+        # every row carries the target's class and its own record's text
+        enc = default_encoders()
+        bank = one_entry_bank(FOUR, 2, enc, seed=4)
+        assert bank.labels.tolist() == [2] * 8
+        text = 0.5 * (enc.text(FOUR.title) + enc.text(FOUR.source))
+        np.testing.assert_array_equal(bank.x2, np.tile(text, (8, 1)))
 
     def test_solo_record_uses_empty_sentinels(self):
+        enc = default_encoders()
         solo = rec("s1", "Alan Turing")
-        samples = generate_training_samples(solo, 0, class_index_for(solo), np.random.default_rng(5))
-        assert len(samples) == 2
-        assert [s.variate_mode for s in samples] == [MODE_FULL, MODE_ANV]
-        for s in samples:
-            assert s.coauthor_p == "" and s.coauthor_j == ""
-        assert samples[0].target_first_name == "Alan"
-        assert samples[1].target_first_name == "A"
+        bank = one_entry_bank(solo, 0, enc, seed=5)
+        assert bank.n_samples == 2
+        np.testing.assert_array_equal(bank.x1[0, :200], enc.name("Alan"))
+        np.testing.assert_array_equal(bank.x1[1, :200], enc.name("A"))
+        np.testing.assert_array_equal(bank.x1[:, 200:], np.zeros((2, 200)))
 
     def test_seeded_determinism(self):
-        a = generate_training_samples(FOUR, 0, class_index_for(FOUR), np.random.default_rng(6))
-        b = generate_training_samples(FOUR, 0, class_index_for(FOUR), np.random.default_rng(6))
-        assert a == b
+        enc = default_encoders()
+        a = one_entry_bank(FOUR, 0, enc, seed=6)
+        b = one_entry_bank(FOUR, 0, enc, seed=6)
+        np.testing.assert_array_equal(a.x1, b.x1)
 
     def test_j_draw_depends_on_rng(self):
-        draws = {
-            tuple(s.coauthor_j for s in generate_training_samples(FOUR, 0, class_index_for(FOUR), np.random.default_rng(seed)))
-            for seed in range(8)
-        }
+        enc = default_encoders()
+        draws = {one_entry_bank(FOUR, 0, enc, seed=seed).x1.tobytes() for seed in range(8)}
         assert len(draws) > 1
 
 
@@ -219,18 +238,25 @@ class TestSampleBank:
         bank = SampleBank(block.entries, block.class_index, enc)
         bank.assign_coauthors(np.random.default_rng(7))
 
+        # oracle: one j per position p, entry by entry; a solo record pairs "" with ""
         replay = np.random.default_rng(7)
         i = 0
         for entry in block.entries:
-            for s in generate_training_samples(entry.record, entry.position, block.class_index, replay):
-                x1 = np.concatenate(
-                    [enc.name(s.target_first_name), 0.5 * (enc.name(s.coauthor_p) + enc.name(s.coauthor_j))]
-                )
-                x2 = 0.5 * (enc.text(s.title) + enc.text(s.source))
-                np.testing.assert_allclose(bank.x1[i], x1, atol=1e-12)
-                np.testing.assert_allclose(bank.x2[i], x2, atol=1e-12)
-                assert bank.labels[i] == s.label
-                i += 1
+            record = entry.record
+            forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
+            target = forms[entry.position]
+            omega = len(forms)
+            x2 = 0.5 * (enc.text(record.title) + enc.text(record.source))
+            for p in range(omega):
+                j = int(replay.integers(omega)) if omega > 1 else None
+                modes = ((target.full_first, [f.full for f in forms]), (target.anv_first, [f.anv for f in forms]))
+                for first, names in modes:
+                    pair = (names[p], names[j]) if j is not None else ("", "")
+                    x1 = np.concatenate([enc.name(first), 0.5 * (enc.name(pair[0]) + enc.name(pair[1]))])
+                    np.testing.assert_allclose(bank.x1[i], x1, atol=1e-12)
+                    np.testing.assert_allclose(bank.x2[i], x2, atol=1e-12)
+                    assert bank.labels[i] == block.class_index[entry.target.author_id]
+                    i += 1
         assert i == bank.n_samples
 
     def test_reassignment_keeps_static_half(self):
