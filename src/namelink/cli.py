@@ -122,9 +122,11 @@ def _train_single_block(
     split_seed, train_seed = derive_block_seeds(master_seed, block.variate_key)
     split = split_per_author(block, split_seed)
     encoders = _build_encoders(name_table, text_table)
+    started = time.perf_counter()
     result = train_block_model(
         block, split, encoders, config=TrainRunConfig(**{**config.__dict__, "seed": train_seed})
     )
+    train_s = time.perf_counter() - started
     extra = {
         "variate": block.display_variate,
         "master_seed": master_seed,
@@ -137,12 +139,16 @@ def _train_single_block(
     save_checkpoint(checkpoint_path, result.best_params, result.best_adam_state, list(block.authors), extra)
     with atomic_path(history_path) as tmp:
         tmp.write_text("\n".join(history_lines(result.history)) + "\n", encoding="utf-8")
+    train_samples = int(result.class_counts.sum())
     return {
         "variate": block.display_variate,
         "classes": block.n_classes,
         "entries": len(block.entries),
-        "train_samples": int(result.class_counts.sum()),
+        "train_samples": train_samples,
         **{k: extra[k] for k in ("best_epoch", "best_val_accuracy", "epochs_run", "stopped_early")},
+        "stop_reason": "patience" if result.stopped_early else "max_epochs",
+        "train_s": train_s,
+        "train_samples_per_s": train_samples * len(result.history) / train_s,
         "checkpoint": checkpoint_path,
     }
 

@@ -10,6 +10,13 @@ All parameters live in one flat float64 vector; weight matrices and bias
 vectors are reshaped views into it.  That makes the Adam update a handful of
 vectorized passes, lets checkpoints snapshot a single array bit-exactly, and
 reduces the finite-difference gradient check to perturbing flat entries.
+
+The training step allocates little: backprop writes each layer's weight and
+bias gradient straight into its view of one flat gradient vector and skips
+the gradient with respect to the network's inputs, which nothing reads.  The
+Adam update then runs in place on the parameters and moments, one
+cache-sized slice at a time, using that gradient vector as scratch plus one
+slice-sized buffer.
 """
 
 from __future__ import annotations
@@ -26,6 +33,9 @@ from .records import AuthorId
 from .store import atomic_path
 
 LOG_FLOOR = 1e-12
+# Adam updates this many parameters at a time, so the five vectors it touches
+# stay in a core's L2 cache between its ufunc passes (5 x 256 KiB in float64)
+ADAM_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -265,7 +275,7 @@ def loss_and_gradients_batch(
     d_logits[rows, labels] -= 1.0
     d_logits *= (sample_weights / batch)[:, None]
 
-    grad_flat = np.zeros(cfg.n_params)
+    grad_flat = np.empty(cfg.n_params)  # every slot is written below
     g_weights, g_biases = _layer_views(grad_flat, cfg)
     n1, n2 = len(cfg.branch1_hidden), len(cfg.branch2_hidden)
     nm = len(cfg.merged_hidden)
@@ -276,25 +286,30 @@ def loss_and_gradients_batch(
 
     (w1s, _), (w2s, _), (wms, _), (w_out, _) = _split_layers(params)
 
-    gw_out[...] = cache["last_hidden"].T @ d_logits
-    gb_out[...] = d_logits.sum(axis=0)
+    np.matmul(cache["last_hidden"].T, d_logits, out=gw_out)
+    np.sum(d_logits, axis=0, out=gb_out)
     dh = d_logits @ w_out.T
     if cache["mask_last"] is not None:
-        dh = dh * cache["mask_last"]
+        dh *= cache["mask_last"]
 
-    def back_stack(dh, ws, acts, zs, gws, gbs):
+    def back_stack(dh, ws, acts, zs, gws, gbs, input_grad):
+        """Backprop through one ReLU stack, writing its gradients into
+        ``gws``/``gbs``; with ``input_grad`` it returns the gradient with
+        respect to the stack's input, without it the result is not used."""
         for i in range(len(ws) - 1, -1, -1):
             dz = dh * (zs[i] > 0.0)
-            gws[i][...] = acts[i].T @ dz
-            gbs[i][...] = dz.sum(axis=0)
-            dh = dz @ ws[i].T
+            np.matmul(acts[i].T, dz, out=gws[i])
+            np.sum(dz, axis=0, out=gbs[i])
+            if i > 0 or input_grad:
+                dh = dz @ ws[i].T
         return dh
 
-    d_concat = back_stack(dh, wms, cache["m_acts"], cache["m_zs"], gwm, gbm)
+    d_concat = back_stack(dh, wms, cache["m_acts"], cache["m_zs"], gwm, gbm, input_grad=True)
     split = cache["b1_acts"][-1].shape[1]
     d1, d2 = d_concat[:, :split], d_concat[:, split:]
-    back_stack(d1, w1s, cache["b1_acts"], cache["b1_zs"], gw1, gb1)
-    back_stack(d2, w2s, cache["b2_acts"], cache["b2_zs"], gw2, gb2)
+    # nothing reads the gradient with respect to x1 or x2
+    back_stack(d1, w1s, cache["b1_acts"], cache["b1_zs"], gw1, gb1, input_grad=False)
+    back_stack(d2, w2s, cache["b2_acts"], cache["b2_zs"], gw2, gb2, input_grad=False)
 
     return loss, grad_flat
 
@@ -322,27 +337,46 @@ def init_adam_state(
 def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, in place on ``params.flat``.
 
-    Fails fast on non-finite gradients rather than poisoning the moments.
+    ``grad_flat`` is overwritten: it serves as scratch and on return holds
+    the step subtracted from the parameters, so it must be float64 and must
+    not share memory with ``params.flat``, ``state.m`` or ``state.v``
+    (``ValueError``).  The update runs over ``ADAM_CHUNK`` parameters at a
+    time and allocates one scratch buffer of that size; every value comes
+    from the same float operations in the same order as ``m = b1*m +
+    (1-b1)*g``, ``v = b2*v + g*g*(1-b2)`` and ``theta -= m/(1-b1**t) /
+    (sqrt(v/(1-b2**t)) + eps) * lr`` evaluated over whole vectors with
+    temporaries, so the results are bit-identical to that form.  Fails fast
+    on non-finite gradients rather than poisoning the moments: nothing is
+    mutated then.
     """
-    if grad_flat.shape != params.flat.shape:
-        raise ValueError("gradient shape does not match parameters")
+    if grad_flat.shape != params.flat.shape or grad_flat.dtype != params.flat.dtype:
+        raise ValueError("gradient shape or dtype does not match parameters")
+    for name, other in (("params.flat", params.flat), ("state.m", state.m), ("state.v", state.v)):
+        if np.may_share_memory(grad_flat, other):
+            raise ValueError(f"gradient may share memory with {name}; adam_step overwrites it")
     if not np.isfinite(grad_flat).all():
         raise FloatingPointError("non-finite gradient")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
-    state.m *= b1
-    state.m += (1.0 - b1) * grad_flat
-    state.v *= b2
-    buf = grad_flat * grad_flat
-    buf *= 1.0 - b2
-    state.v += buf
-    np.divide(state.v, 1.0 - b2**state.t, out=buf)
-    np.sqrt(buf, out=buf)
-    buf += state.eps
-    step = state.m / (1.0 - b1**state.t)
-    step /= buf
-    step *= state.lr
-    params.flat -= step
+    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    scratch = np.empty(min(ADAM_CHUNK, grad_flat.size))
+    for lo in range(0, grad_flat.size, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, grad_flat.size)
+        g, m, v, buf = grad_flat[lo:hi], state.m[lo:hi], state.v[lo:hi], scratch[: hi - lo]
+        np.multiply(g, g, out=buf)
+        g *= 1.0 - b1
+        m *= b1
+        m += g
+        v *= b2
+        buf *= 1.0 - b2
+        v += buf
+        np.divide(v, c2, out=buf)
+        np.sqrt(buf, out=buf)
+        buf += state.eps
+        np.divide(m, c1, out=g)
+        g /= buf
+        g *= state.lr
+        params.flat[lo:hi] -= g
     return params, state
 
 
@@ -443,5 +477,10 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
         raise CheckpointError(
             f"checkpoint has {config.n_classes} classes, expected {expected_classes}"
         )
+    for key, array in (("params", flat), ("adam_m", adam_m), ("adam_v", adam_v)):
+        if array.shape != (config.n_params,):
+            raise CheckpointError(
+                f"checkpoint {path}: {key} has shape {array.shape}, the model needs ({config.n_params},)"
+            )
     params = ModelParams(config, flat)
     return CheckpointBundle(params=params, adam_state=adam_state, class_index=classes, extra=meta.get("extra", {}))

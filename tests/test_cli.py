@@ -7,7 +7,7 @@ import pytest
 
 import namelink.training
 from namelink.cli import main
-from namelink.model import load_checkpoint, save_checkpoint
+from namelink.model import CheckpointError, load_checkpoint, save_checkpoint
 from namelink.records import AuthorId
 from namelink.store import write_corpus_store
 from namelink.synth import SynthConfig, gen_synth
@@ -271,6 +271,28 @@ class TestTrain:
         assert rc == 0
         assert "Y Chen\tclasses 3\tepochs 1\t" in out
 
+    def test_manifest_reports_training_time_rate_and_stop_reason(self, ws, tmp_path, capsys):
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(tmp_path / "t.npz"),
+                "--max-epochs", "1",
+                "--manifest", str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        (entry,) = manifest_entries(manifest)
+        (block,) = entry["result"]["blocks"]
+        assert block["epochs_run"] == 1
+        assert block["stop_reason"] == "max_epochs"
+        assert block["stopped_early"] is False
+        assert 0.0 < block["train_s"] <= entry["duration_s"] + 1e-3
+        assert block["train_samples_per_s"] == pytest.approx(block["train_samples"] / block["train_s"])
+
     def test_multi_block_directory_output(self, ws, tmp_path, capsys):
         out_dir = tmp_path / "models"
         rc = main(
@@ -455,6 +477,27 @@ class TestEvaluate:
         assert rc == 0
         assert "MiAF1 (All)\t" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("key", ["adam_m", "adam_v"])
+    def test_checkpoint_moments_shorter_than_params(self, ws, tmp_path, capsys, key):
+        with np.load(ws["ckpt"]) as archive:
+            arrays = dict(archive)
+        arrays[key] = arrays[key][:-5]
+        ckpt = tmp_path / "cut.npz"
+        np.savez(ckpt, **arrays)
+        with pytest.raises(CheckpointError, match=key):
+            load_checkpoint(ckpt)
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", str(ckpt),
+                "--manifest", str(manifest),
+            ]
+        )
+        assert_operational_error(rc, capsys, manifest)
 
     @pytest.mark.parametrize("key", ["config", "adam", "classes"])
     def test_checkpoint_metadata_missing_key(self, ws, tmp_path, capsys, key):

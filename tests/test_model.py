@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namelink.model import (
+    ADAM_CHUNK,
     AdamState,
     CheckpointError,
     ModelConfig,
@@ -234,6 +235,32 @@ class TestLossAndGradients:
             fd = (loss_at(up) - loss_at(down)) / (2.0 * h)
             assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-9)
 
+    def test_finite_difference_gradient_two_layer_branches(self):
+        """Every coordinate, on a topology where each branch has a hidden
+        layer between its input layer and the merge."""
+        cfg = ModelConfig(
+            n_classes=3, input1_dim=4, input2_dim=3, branch1_hidden=(5, 4), branch2_hidden=(4, 3),
+            merged_hidden=(4,), dropout_rate=0.0,
+        )
+        params = init_model(cfg)
+        # nonzero biases: a row whose hidden units are all off would put z
+        # exactly on the ReLU kink, where the central difference is wrong
+        params.flat += np.random.default_rng(13).normal(scale=0.1, size=params.n_params)
+        x1, x2 = random_inputs(cfg, 5, seed=12)
+        labels = np.array([0, 1, 2, 0, 1])
+        weights = np.array([1.0, 1.5, 0.5, 1.0, 2.0])
+        _, grad = loss_and_gradients_batch(params, x1, x2, labels, weights)
+        h = 1e-6
+        for k in range(params.n_params):
+            up, down = params.flat.copy(), params.flat.copy()
+            up[k] += h
+            down[k] -= h
+            fd = (
+                loss_and_gradients_batch(ModelParams(cfg, up), x1, x2, labels, weights)[0]
+                - loss_and_gradients_batch(ModelParams(cfg, down), x1, x2, labels, weights)[0]
+            ) / (2.0 * h)
+            assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-9)
+
     def test_train_mode_gradient_repeatable_under_seed(self):
         cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5})
         params = init_model(cfg)
@@ -306,7 +333,7 @@ class TestAdam:
         rng = np.random.default_rng(16)
         grad = rng.normal(size=params.n_params)
         grad[np.abs(grad) < 0.1] = 0.1  # keep |g| well above eps
-        adam_step(params, grad, state)
+        adam_step(params, grad.copy(), state)
         np.testing.assert_allclose(params.flat - before, -1e-3 * np.sign(grad), rtol=1e-5)
 
     def test_three_steps_match_recurrence_oracle(self):
@@ -342,13 +369,73 @@ class TestAdam:
         adam_step(params, np.ones(params.n_params), state)
         assert params.flat is buf
 
-    def test_non_finite_gradient_rejected(self):
+    def test_matches_allocating_update_bit_for_bit(self):
+        """The in-place, chunked update against the same arithmetic written
+        over whole vectors with temporaries, on gradients spanning many
+        magnitudes and a parameter count that ends in a partial chunk."""
+        cfg = ModelConfig(
+            n_classes=7, input1_dim=150, input2_dim=120, branch1_hidden=(100,), branch2_hidden=(90,),
+            merged_hidden=(80, 40),
+        )
+        assert cfg.n_params > ADAM_CHUNK and cfg.n_params % ADAM_CHUNK
+        params = init_model(cfg)
+        state = init_adam_state(params, lr=3e-3)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        theta, m, v = params.flat.copy(), np.zeros(cfg.n_params), np.zeros(cfg.n_params)
+        rng = np.random.default_rng(23)
+        for t in range(1, 8):
+            grad = rng.normal(size=cfg.n_params) * 10.0 ** rng.uniform(-9, 3, size=cfg.n_params)
+            adam_step(params, grad.copy(), state)
+            m *= b1
+            m += (1.0 - b1) * grad
+            v *= b2
+            buf = grad * grad
+            buf *= 1.0 - b2
+            v += buf
+            np.divide(v, 1.0 - b2**t, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += eps
+            step = m / (1.0 - b1**t)
+            step /= buf
+            step *= lr
+            theta -= step
+            assert state.t == t
+            np.testing.assert_array_equal(params.flat, theta)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+
+    @pytest.mark.parametrize("alias", ["params", "m", "v"])
+    def test_gradient_sharing_memory_with_state_rejected(self, alias):
         params = init_model(TINY)
         state = init_adam_state(params)
-        grad = np.zeros(params.n_params)
-        grad[0] = np.nan
-        with pytest.raises(FloatingPointError):
+        adam_step(params, np.ones(params.n_params), state)
+        before = params.flat.copy(), state.m.copy(), state.v.copy()
+        grad = {"params": params.flat, "m": state.m, "v": state.v}[alias]
+        with pytest.raises(ValueError, match="share memory"):
             adam_step(params, grad, state)
+        np.testing.assert_array_equal(params.flat, before[0])
+        np.testing.assert_array_equal(state.m, before[1])
+        np.testing.assert_array_equal(state.v, before[2])
+        assert state.t == 1
+
+    def test_non_finite_gradient_rejected(self):
+        """Rejected before anything is mutated: params, moments and t keep
+        their values."""
+        params = init_model(TINY)
+        state = init_adam_state(params)
+        rng = np.random.default_rng(24)
+        for _ in range(2):
+            adam_step(params, rng.normal(size=params.n_params), state)
+        before = params.flat.copy(), state.m.copy(), state.v.copy()
+        for bad in (np.nan, np.inf, -np.inf):
+            grad = rng.normal(size=params.n_params)
+            grad[-1] = bad
+            with pytest.raises(FloatingPointError):
+                adam_step(params, grad, state)
+            np.testing.assert_array_equal(params.flat, before[0])
+            np.testing.assert_array_equal(state.m, before[1])
+            np.testing.assert_array_equal(state.v, before[2])
+            assert state.t == 2
 
     def test_descends_fixed_quadratic(self):
         params = init_model(TINY)
