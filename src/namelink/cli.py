@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 operational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 import sys
@@ -40,10 +41,11 @@ from .encoders import (
     Encoders,
     HashingNameEncoder,
     HashingTextEncoder,
+    TableEncoder,
     load_embedding_table,
 )
 from .metrics import EVAL_ALL, EVAL_ANV, EvaluationError, evaluate_block, render_report
-from .model import CheckpointError, load_checkpoint, save_checkpoint
+from .model import CheckpointBundle, CheckpointError, load_checkpoint, save_checkpoint
 from .names import build_author_registry
 from .predict import PredictionError, RouteKind, predict_author, render_prediction, route_name
 from .records import DEFAULT_KINDS
@@ -85,6 +87,47 @@ def _build_encoders(name_table: str | None, text_table: str | None) -> Encoders:
     if text_table:
         text = load_embedding_table(text_table, TEXT_DIM, text)
     return Encoders(name=name, text=text)
+
+
+def _encoder_fingerprint(name_table: str | None, text_table: str | None) -> dict:
+    """What ``_build_encoders`` builds from these flags, per input: hashing
+    or table, its dim, and for a table the sha256 of its file."""
+
+    def one(table: str | None, dim: int) -> dict:
+        if not table:
+            return {"kind": "hashing", "dim": dim}
+        digest = hashlib.sha256()
+        with open(table, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                digest.update(chunk)
+        return {"kind": "table", "dim": dim, "sha256": digest.hexdigest()}
+
+    return {"name": one(name_table, NAME_DIM), "text": one(text_table, TEXT_DIM)}
+
+
+def _check_encoders(
+    bundle: CheckpointBundle, checkpoint: str, name_table: str | None, text_table: str | None
+) -> None:
+    """Refuse flags that build other encoders than the checkpoint was trained
+    with; checkpoints written before the fingerprint was stored pass."""
+    trained = bundle.extra.get("encoders")
+    if trained is None:
+        return
+    given = _encoder_fingerprint(name_table, text_table)
+    if trained != given:
+        raise CheckpointError(
+            f"checkpoint {checkpoint} was trained with encoders {json.dumps(trained, sort_keys=True)} "
+            f"but the flags build {json.dumps(given, sort_keys=True)}"
+        )
+
+
+def _table_misses(encoders: Encoders) -> dict:
+    """Fallback lookups of each embedding table in use, for the manifest."""
+    misses = {}
+    for kind, encoder in (("name", encoders.name), ("text", encoders.text)):
+        if isinstance(encoder, TableEncoder):
+            misses[f"{kind}_table_misses"] = encoder.miss_count
+    return misses
 
 
 def _load_block(corpus_path: str, variate_key: str) -> Block:
@@ -135,6 +178,7 @@ def _train_single_block(
         "epochs_run": len(result.history),
         "stopped_early": result.stopped_early,
         "val_on_train": result.val_on_train,
+        "encoders": _encoder_fingerprint(name_table, text_table),
     }
     save_checkpoint(checkpoint_path, result.best_params, result.best_adam_state, list(block.authors), extra)
     with atomic_path(history_path) as tmp:
@@ -283,6 +327,7 @@ def _cmd_predict(args) -> dict:
             f"checkpoint {args.checkpoint} does not cover candidate(s) "
             f"{', '.join(sorted(a.render() for a in unknown))}; is it another block's model?"
         )
+    _check_encoders(bundle, args.checkpoint, args.name_table, args.text_table)
     class_index = {a: i for i, a in enumerate(bundle.class_index)}
     encoders = _build_encoders(args.name_table, args.text_table)
     variate_mode = MODE_ANV if args.mode == EVAL_ANV else MODE_FULL
@@ -296,6 +341,7 @@ def _cmd_predict(args) -> dict:
         "record": args.record_key,
         "chosen": prediction.chosen.render(),
         "pairs": prediction.pair_count,
+        **_table_misses(encoders),
     }
 
 
@@ -312,6 +358,7 @@ def _cmd_evaluate(args) -> dict:
         raise EvaluationError(
             f"checkpoint was trained with --seed {trained_seed} but evaluate got --seed {args.seed}"
         )
+    _check_encoders(bundle, args.checkpoint, args.name_table, args.text_table)
     split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
     split = split_per_author(block, split_seed)
     encoders = _build_encoders(args.name_table, args.text_table)
@@ -326,6 +373,7 @@ def _cmd_evaluate(args) -> dict:
         "instances": report.instance_count,
         "MiAF1": report.miaf1,
         "MaAF1": report.maaf1,
+        **_table_misses(encoders),
         "out": args.out,
     }
 

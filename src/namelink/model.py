@@ -17,6 +17,12 @@ the gradient with respect to the network's inputs, which nothing reads.  The
 Adam update then runs in place on the parameters and moments, one
 cache-sized slice at a time, using that gradient vector as scratch plus one
 slice-sized buffer.
+
+``forward_batch`` is the forward pass of training and of plain batches.  Its
+layer helpers (``split_layers``, ``run_stack``, ``softmax``) are shared with
+``predict.forward_batched``, which scores a record's name pairs with the
+first layer factored per name and branch two run once, so the layers after
+that first one are the same code in both passes.
 """
 
 from __future__ import annotations
@@ -150,7 +156,9 @@ def init_model(config: ModelConfig) -> ModelParams:
     return params
 
 
-def _split_layers(params: ModelParams):
+def split_layers(params: ModelParams):
+    """The (weights, biases) of branch one, branch two and the merged stack,
+    then the output layer's weight and bias."""
     cfg = params.config
     n1, n2, nm = len(cfg.branch1_hidden), len(cfg.branch2_hidden), len(cfg.merged_hidden)
     w, b = params.weights, params.biases
@@ -162,7 +170,19 @@ def _split_layers(params: ModelParams):
     )
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
+def run_stack(x: np.ndarray, ws, bs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Run ``x`` through a stack of ReLU layers: the activations, input
+    first, and the pre-activations of every layer."""
+    acts, zs = [x], []
+    for w, b in zip(ws, bs):
+        z = acts[-1] @ w + b
+        zs.append(z)
+        acts.append(np.maximum(z, 0.0))
+    return acts, zs
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax into a new array; ``logits`` is left as it is."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=1, keepdims=True)
@@ -198,15 +218,7 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
-    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = _split_layers(params)
-
-    def run_stack(x, ws, bs):
-        acts, zs = [x], []
-        for w, b in zip(ws, bs):
-            z = acts[-1] @ w + b
-            zs.append(z)
-            acts.append(np.maximum(z, 0.0))
-        return acts, zs
+    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(params)
 
     b1_acts, b1_zs = run_stack(x1, w1s, b1s)
     b2_acts, b2_zs = run_stack(x2, w2s, b2s)
@@ -222,7 +234,7 @@ def forward_batch(
         last_hidden = last_hidden * mask_last
 
     logits = last_hidden @ w_out + b_out
-    probs = _softmax(logits)
+    probs = softmax(logits)
 
     if not train:
         return probs, None
@@ -284,7 +296,7 @@ def loss_and_gradients_batch(
     gwm, gbm = g_weights[n1 + n2 : n1 + n2 + nm], g_biases[n1 + n2 : n1 + n2 + nm]
     gw_out, gb_out = g_weights[-1], g_biases[-1]
 
-    (w1s, _), (w2s, _), (wms, _), (w_out, _) = _split_layers(params)
+    (w1s, _), (w2s, _), (wms, _), (w_out, _) = split_layers(params)
 
     np.matmul(cache["last_hidden"].T, d_logits, out=gw_out)
     np.sum(d_logits, axis=0, out=gb_out)

@@ -6,6 +6,12 @@ the record to the block model of the name's atomic variate.  The model votes
 once per unordered pair of pool names (the record's authors plus the target
 name once more) and the per-pair probability vectors are aggregated, by sum
 unless configured otherwise.
+
+The pairs of one record share most of their input: the target's first name,
+the title/source row, and each pool name's half of the co-author mean.
+:func:`forward_batched` therefore computes the first layer that the name
+input feeds as a sum of per-name products, and branch two once per record;
+only the layers after that first one run once per pair.
 """
 
 from __future__ import annotations
@@ -16,15 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .encoders import Encoders, name_input, text_input
-from .model import ModelParams, forward_batch
+from .encoders import Encoders, text_input
+from .model import ModelParams, run_stack, softmax, split_layers
 from .names import AuthorRegistry, atomic_variate, name_forms, normalize_name, resolve_name
 from .records import AuthorId, BibRecord
 from .training import MODE_ANV, MODE_FULL
 
 AGGREGATIONS = ("sum", "max")
 
-# pairs per forward pass; bounds the feature matrices of very long author lists
+# pairs per pass through the per-pair layers; bounds the activations of very
+# long author lists
 PAIR_CHUNK = 4096
 
 
@@ -117,14 +124,8 @@ def predict_author(
     first_vec = np.asarray(encoders.name(first))
     pool_vecs = np.stack([np.asarray(encoders.name(s)) for s in pool])
     text_row = text_input(encoders.text, [record.title], [record.source])
-    p_idx, j_idx = np.triu_indices(len(pool), k=1)
-    pair_count = p_idx.size
-    chunks = []
-    for start in range(0, pair_count, PAIR_CHUNK):
-        p, j = p_idx[start : start + PAIR_CHUNK], j_idx[start : start + PAIR_CHUNK]
-        x1 = name_input(first_vec, pool_vecs, p, j)
-        chunks.append(forward_batch(params, x1, np.repeat(text_row, p.size, axis=0))[0])
-    probs = np.concatenate(chunks)
+    probs = forward_batched(params, first_vec, pool_vecs, text_row)
+    pair_count = probs.shape[0]
     if aggregation == "sum":
         scores = probs.sum(axis=0)
     else:
@@ -143,6 +144,69 @@ def predict_author(
         aggregation=aggregation,
         variate_mode=variate_mode,
     )
+
+
+def forward_batched(
+    params: ModelParams, first_vec: np.ndarray, pool_vecs: np.ndarray, text_row: np.ndarray
+) -> np.ndarray:
+    """Class probabilities of every unordered pair of pool names, one row per
+    pair (p, j) in ``np.triu_indices(len(pool_vecs), k=1)`` order.
+
+    Up to float rounding this is ``forward_batch`` on the rows
+    ``name_input(first_vec, pool_vecs, p, j)`` with ``text_row`` repeated,
+    but nothing is computed per pair that does not depend on the pair.  The
+    layer input one feeds (branch one's first layer, or with no branch-one
+    layers the layer that takes the concatenation) is linear in that input,
+    so its pre-activation for a pair is ``c + P[p] + P[j]``, where ``c``
+    holds the first-name term and bias and ``P = 0.5 * pool_vecs @ W_pair``
+    has one row per pool name.  Branch two and its term in the layer that
+    takes the concatenation are computed once from the single ``text_row``.
+    The layers after these run ``PAIR_CHUNK`` pairs at a time.
+    """
+    cfg = params.config
+    first_vec = np.asarray(first_vec, dtype=np.float64)
+    pool_vecs = np.asarray(pool_vecs, dtype=np.float64)
+    text_row = np.atleast_2d(np.asarray(text_row, dtype=np.float64))
+    dim = first_vec.shape[-1]
+    if (
+        first_vec.shape != (dim,)
+        or pool_vecs.ndim != 2
+        or pool_vecs.shape[1] != dim
+        or 2 * dim != cfg.input1_dim
+        or text_row.shape != (1, cfg.input2_dim)
+    ):
+        raise ValueError(
+            f"first/pool/text shapes {first_vec.shape}/{pool_vecs.shape}/{text_row.shape} "
+            f"do not match config dims {cfg.input1_dim}/{cfg.input2_dim}"
+        )
+    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(params)
+    # the layer that takes the concatenation: the first merged layer, or the output layer
+    w_cat, b_cat = (wms[0], bms[0]) if wms else (w_out, b_out)
+    split = cfg.branch1_hidden[-1] if cfg.branch1_hidden else cfg.input1_dim
+    w_cat1 = w_cat[:split]
+    text_out = run_stack(text_row, w2s, b2s)[0][-1]
+    cat_bias = text_out @ w_cat[split:] + b_cat
+    w_in, b_in = (w1s[0], b1s[0]) if w1s else (w_cat1, cat_bias)
+    c = first_vec @ w_in[:dim] + b_in
+    halves = 0.5 * (pool_vecs @ w_in[dim:])
+
+    p_idx, j_idx = np.triu_indices(len(pool_vecs), k=1)
+    probs = np.empty((p_idx.size, cfg.n_classes))
+    for start in range(0, p_idx.size, PAIR_CHUNK):
+        stop = start + PAIR_CHUNK
+        z = halves[p_idx[start:stop]]
+        z += halves[j_idx[start:stop]]
+        z += c
+        if w1s:
+            np.maximum(z, 0.0, out=z)
+            z = run_stack(z, w1s[1:], b1s[1:])[0][-1] @ w_cat1
+            z += cat_bias
+        # z is now the pre-activation of the layer that takes the concatenation
+        if wms:
+            np.maximum(z, 0.0, out=z)
+            z = run_stack(z, wms[1:], bms[1:])[0][-1] @ w_out + b_out
+        probs[start:stop] = softmax(z)
+    return probs
 
 
 def render_prediction(prediction: Prediction, top_k: int = 5) -> str:

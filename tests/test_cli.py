@@ -9,7 +9,7 @@ import namelink.training
 from namelink.cli import main
 from namelink.model import CheckpointError, load_checkpoint, save_checkpoint
 from namelink.records import AuthorId
-from namelink.store import write_corpus_store
+from namelink.store import load_corpus, write_corpus_store
 from namelink.synth import SynthConfig, gen_synth
 
 FIXTURE_XML = str(Path(__file__).parent / "data" / "dblp_fixture.xml")
@@ -69,6 +69,43 @@ def ws(tmp_path_factory):
             "--patience", "5",
             "--batch-size", "32",
             "--manifest", paths["manifest"],
+        ]
+    )
+    assert rc == 0
+    return paths
+
+
+def write_table(path, keys, dim):
+    """An embedding table with one arbitrary vector per key."""
+    rng = np.random.default_rng(len(keys))
+    lines = [k + "\t" + " ".join(f"{v:.6f}" for v in rng.normal(size=dim)) for k in keys]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def tables(ws):
+    """A name table none of the corpus's names is in, a text table holding
+    the title of record synth/a/0000, and a checkpoint trained with both."""
+    root = ws["root"]
+    record = next(r for r in load_corpus(ws["corpus"]) if r.record_key == "synth/a/0000")
+    paths = {
+        "name_table": write_table(root / "names.tsv", ["Nobody Here"], 200),
+        "text_table": write_table(root / "texts.tsv", [record.title], 768),
+        "ckpt": str(root / "tables.npz"),
+        "record": record,
+    }
+    rc = main(
+        [
+            "train",
+            "--corpus", ws["corpus"],
+            "--block", "Y Chen",
+            "--out", paths["ckpt"],
+            "--max-epochs", "2",
+            "--batch-size", "32",
+            "--name-table", paths["name_table"],
+            "--text-table", paths["text_table"],
+            "--manifest", str(root / "tables.ndjson"),
         ]
     )
     assert rc == 0
@@ -478,6 +515,60 @@ class TestEvaluate:
         assert "MiAF1 (All)\t" in capsys.readouterr().out
 
 
+    def test_encoders_other_than_training_rejected(self, ws, tables, tmp_path, capsys):
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", ws["ckpt"],
+                "--name-table", tables["name_table"],
+                "--manifest", str(manifest),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert '"kind": "hashing"' in captured.err and '"kind": "table"' in captured.err
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
+        assert "MiAF1" not in captured.out
+
+    def test_checkpoint_without_encoder_fingerprint_still_loads(self, ws, tables, tmp_path, capsys):
+        ckpt = resave(ws["ckpt"], tmp_path / "old.npz", drop_extra=("encoders",))
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", ckpt,
+                "--name-table", tables["name_table"],
+                "--manifest", str(tmp_path / "m"),
+            ]
+        )
+        assert rc == 0
+        assert "MiAF1 (All)\t" in capsys.readouterr().out
+
+    def test_manifest_reports_table_misses(self, ws, tables, tmp_path, capsys):
+        manifest = tmp_path / "m"
+        for extra in ([], ["--name-table", tables["name_table"], "--text-table", tables["text_table"]]):
+            rc = main(
+                [
+                    "evaluate",
+                    "--corpus", ws["corpus"],
+                    "--block", "Y Chen",
+                    "--checkpoint", tables["ckpt"] if extra else ws["ckpt"],
+                    *extra,
+                    "--manifest", str(manifest),
+                ]
+            )
+            assert rc == 0
+        plain, with_tables = (e["result"] for e in manifest_entries(manifest))
+        assert "name_table_misses" not in plain and "text_table_misses" not in plain
+        # ALL mode scores 3 TEST records twice; no name is in the table
+        assert with_tables["name_table_misses"] > 0
+        assert 0 < with_tables["text_table_misses"] <= 2 * 6
+
     @pytest.mark.parametrize("key", ["adam_m", "adam_v"])
     def test_checkpoint_moments_shorter_than_params(self, ws, tmp_path, capsys, key):
         with np.load(ws["ckpt"]) as archive:
@@ -594,6 +685,48 @@ class TestPredict:
         assert rc == 1
         assert "does not cover" in captured.err
         assert "chosen" not in captured.out
+
+
+    def test_encoders_other_than_training_rejected(self, ws, tables, tmp_path, capsys):
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "predict",
+                "--corpus", ws["corpus"],
+                "--name", "Y Chen",
+                "--record-key", "synth/a/0000",
+                "--checkpoint", tables["ckpt"],
+                "--name-table", tables["name_table"],
+                "--manifest", str(manifest),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:")
+        assert '"kind": "hashing"' in captured.err and '"kind": "table"' in captured.err
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
+        assert "chosen" not in captured.out
+
+    def test_manifest_reports_table_misses(self, ws, tables, tmp_path, capsys):
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "predict",
+                "--corpus", ws["corpus"],
+                "--name", "Y Chen",
+                "--record-key", "synth/a/0000",
+                "--checkpoint", tables["ckpt"],
+                "--name-table", tables["name_table"],
+                "--text-table", tables["text_table"],
+                "--manifest", str(manifest),
+            ]
+        )
+        assert rc == 0
+        (entry,) = manifest_entries(manifest)
+        n_pool = len(tables["record"].authors) + 1
+        # the target's first name and every pool name miss; of title and source only the source does
+        assert entry["result"]["name_table_misses"] == 1 + n_pool
+        assert entry["result"]["text_table_misses"] == 1
 
 
 class TestUsageErrors:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from namelink import predict
-from namelink.encoders import default_encoders
-from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
+from namelink.encoders import default_encoders, name_input, text_input
+from namelink.model import ModelConfig, ModelParams, forward_batch, init_model, softmax
 from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.predict import (
     PredictionError,
     Route,
     RouteKind,
+    forward_batched,
     predict_author,
     render_prediction,
     route_name,
@@ -160,14 +161,15 @@ class TestPredictAuthor:
 
     @pytest.mark.parametrize("aggregation", ["sum", "max"])
     def test_pool_beyond_one_chunk_matches_brute_force(self, aggregation, monkeypatch):
-        """omega = 95 gives C(96, 2) = 4560 pairs, more than one forward pass takes."""
+        """omega = 95 gives C(96, 2) = 4560 pairs, more than one chunk takes."""
         calls = []
 
-        def counting_forward(*args, **kwargs):
-            calls.append(args[1].shape[0])
-            return forward_batch(*args, **kwargs)
+        def counting_softmax(logits):
+            calls.append(logits.shape[0])
+            return softmax(logits)
 
-        monkeypatch.setattr(predict, "forward_batch", counting_forward)
+        # each chunk of pairs ends in one softmax over its rows
+        monkeypatch.setattr(predict, "softmax", counting_softmax)
         enc = default_encoders()
         params = init_model(SMALL)
         names = ["Wei Fan"] + [f"Co Author{k}" for k in range(94)]
@@ -232,6 +234,49 @@ class TestPredictAuthor:
             predict_author(params, CLASS_INDEX, record, "W Fan", MODE_FULL, enc, "mean")
         with pytest.raises(PredictionError):
             predict_author(params, dict(list(CLASS_INDEX.items())[:2]), record, "W Fan", MODE_FULL, enc)
+
+
+TOPOLOGIES = {
+    "default": {},
+    "two-layer": {"branch1_hidden": (24, 16), "branch2_hidden": (20, 12), "merged_hidden": (18, 10)},
+    "no-branch1": {"branch1_hidden": ()},
+    "no-branch2": {"branch2_hidden": ()},
+    "no-merged": {"merged_hidden": ()},
+    "no-hidden": {"branch1_hidden": (), "branch2_hidden": (), "merged_hidden": ()},
+}
+
+
+class TestForwardBatched:
+    """The factored pool pass equals the plain forward pass on materialised
+    pair rows."""
+
+    @pytest.mark.parametrize("n_names", [2, 3, 17, 96])
+    @pytest.mark.parametrize("topology", list(TOPOLOGIES))
+    def test_matches_forward_batch_on_materialised_rows(self, topology, n_names):
+        config = ModelConfig(n_classes=4, dropout_rate=0.0, seed=n_names, **TOPOLOGIES[topology])
+        params = init_model(config)
+        rng = np.random.default_rng(n_names)
+        for b in params.biases:
+            b[...] = rng.normal(0.0, 0.3, size=b.shape)
+        dim = config.input1_dim // 2
+        first = rng.normal(size=dim)
+        pool = rng.normal(size=(n_names, dim))
+        text = text_input(default_encoders().text, ["pairs of names"], ["Journal"])
+
+        got = forward_batched(params, first, pool, text)
+
+        p, j = np.triu_indices(n_names, k=1)
+        want, _ = forward_batch(params, name_input(first, pool, p, j), np.repeat(text, p.size, axis=0))
+        assert got.shape == (n_names * (n_names - 1) // 2, config.n_classes)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_input_dims_checked(self):
+        params = init_model(SMALL)
+        text = np.zeros((1, SMALL.input2_dim))
+        with pytest.raises(ValueError):
+            forward_batched(params, np.zeros(200), np.zeros((3, 199)), text)
+        with pytest.raises(ValueError):
+            forward_batched(params, np.zeros(200), np.zeros((3, 200)), np.zeros((2, SMALL.input2_dim)))
 
 
 class TestRendering:
