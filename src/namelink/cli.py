@@ -18,11 +18,14 @@ import argparse
 import hashlib
 import json
 import re
+import statistics
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .blocking import (
     Block,
@@ -130,6 +133,19 @@ def _table_misses(encoders: Encoders) -> dict:
     return misses
 
 
+def _run_identity(params_dtype: np.dtype) -> dict:
+    """What a bit-identical rerun needs besides the inputs and the seed: the
+    model dtype, the numpy version and the BLAS it was built against (the
+    BLAS thread count matters too, but numpy cannot report it).  numpy
+    builds without a build-config record report the BLAS as "unknown"."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        blas_name = "unknown"
+    return {"dtype": str(params_dtype), "numpy": np.__version__, "blas": blas_name}
+
+
 def _load_block(corpus_path: str, variate_key: str) -> Block:
     corpus = load_corpus(corpus_path)
     return build_block(corpus, build_author_registry(corpus), variate_key)
@@ -179,6 +195,7 @@ def _train_single_block(
         "stopped_early": result.stopped_early,
         "val_on_train": result.val_on_train,
         "encoders": _encoder_fingerprint(name_table, text_table),
+        **_run_identity(result.best_params.flat.dtype),
     }
     save_checkpoint(checkpoint_path, result.best_params, result.best_adam_state, list(block.authors), extra)
     with atomic_path(history_path) as tmp:
@@ -189,10 +206,14 @@ def _train_single_block(
         "classes": block.n_classes,
         "entries": len(block.entries),
         "train_samples": train_samples,
-        **{k: extra[k] for k in ("best_epoch", "best_val_accuracy", "epochs_run", "stopped_early")},
+        **{k: extra[k] for k in ("best_epoch", "best_val_accuracy", "epochs_run")},
+        "epochs_after_best": extra["epochs_run"] - extra["best_epoch"],
         "stop_reason": "patience" if result.stopped_early else "max_epochs",
         "train_s": train_s,
         "train_samples_per_s": train_samples * len(result.history) / train_s,
+        "epoch_s_p50": statistics.median(result.epoch_seconds),
+        "epoch_s_max": max(result.epoch_seconds),
+        **{k: extra[k] for k in ("dtype", "numpy", "blas")},
         "checkpoint": checkpoint_path,
     }
 

@@ -6,10 +6,15 @@ ReLU stacks, are concatenated, run through merged ReLU layers with inverted
 dropout on the last hidden layer, and end in a softmax over the block's
 author classes.  The loss is class-weighted cross-entropy.
 
-All parameters live in one flat float64 vector; weight matrices and bias
-vectors are reshaped views into it.  That makes the Adam update a handful of
-vectorized passes, lets checkpoints snapshot a single array bit-exactly, and
-reduces the finite-difference gradient check to perturbing flat entries.
+All parameters live in one flat float32 or float64 vector; weight matrices
+and bias vectors are reshaped views into it.  That makes the Adam update a
+handful of vectorized passes, lets checkpoints snapshot a single array
+bit-exactly, and reduces the finite-difference gradient check to perturbing
+flat entries.  The vector's dtype is the model's precision: the forward pass,
+the gradient, the dropout mask and the Adam moments all take it, and inputs
+are cast to it.  ``init_model`` draws float64; training casts the initial
+vector to float32, which halves the memory traffic of every step and needs
+no loss scaling.
 
 The training step allocates little: backprop writes each layer's weight and
 bias gradient straight into its view of one flat gradient vector and skips
@@ -39,8 +44,11 @@ from .records import AuthorId
 from .store import atomic_path
 
 LOG_FLOOR = 1e-12
+# the precisions a model's parameter vector may have
+FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # Adam updates this many parameters at a time, so the five vectors it touches
-# stay in a core's L2 cache between its ufunc passes (5 x 256 KiB in float64)
+# stay in a core's L2 cache between its ufunc passes (5 x 256 KiB in float64,
+# half that in float32)
 ADAM_CHUNK = 32768
 
 
@@ -130,8 +138,8 @@ class ModelParams:
     """All parameters of one block model, as a flat vector plus views."""
 
     def __init__(self, config: ModelConfig, flat: np.ndarray):
-        if flat.shape != (config.n_params,) or flat.dtype != np.float64:
-            raise ValueError(f"flat parameter vector must be float64 of length {config.n_params}")
+        if flat.shape != (config.n_params,) or flat.dtype not in FLOAT_DTYPES:
+            raise ValueError(f"flat parameter vector must be float32 or float64 of length {config.n_params}")
         self.config = config
         self.flat = flat
         self.weights, self.biases = _layer_views(flat, config)
@@ -198,16 +206,19 @@ def forward_batch(
 ) -> tuple[np.ndarray, dict | None]:
     """Run a batch through the network.
 
-    ``x1`` is (B, input1_dim), ``x2`` is (B, input2_dim); returns (B,
-    n_classes) class probabilities.  ``mode`` "train" applies inverted
-    dropout (needs ``rng``) and returns the activation cache backprop needs;
-    "infer" is deterministic and returns no cache.
+    ``x1`` is (B, input1_dim), ``x2`` is (B, input2_dim), both cast to the
+    parameters' dtype; returns (B, n_classes) class probabilities in that
+    dtype.  ``mode`` "train" applies inverted dropout (needs ``rng``, from
+    which it draws float64 uniforms whatever the dtype) and returns the
+    activation cache backprop needs; "infer" is deterministic and returns no
+    cache.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     cfg = params.config
-    x1 = np.atleast_2d(np.asarray(x1, dtype=np.float64))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=np.float64))
+    dtype = params.flat.dtype
+    x1 = np.atleast_2d(np.asarray(x1, dtype=dtype))
+    x2 = np.atleast_2d(np.asarray(x2, dtype=dtype))
     if x1.shape[1] != cfg.input1_dim or x2.shape[1] != cfg.input2_dim or x1.shape[0] != x2.shape[0]:
         raise ValueError(
             f"input shapes {x1.shape}/{x2.shape} do not match config dims "
@@ -229,8 +240,8 @@ def forward_batch(
     last_hidden = m_acts[-1]
     mask_last = None
     if use_dropout:
-        keep = 1.0 - cfg.dropout_rate
-        mask_last = (rng.random(last_hidden.shape) >= cfg.dropout_rate) / keep
+        mask_last = (rng.random(last_hidden.shape) >= cfg.dropout_rate).astype(dtype)
+        mask_last /= 1.0 - cfg.dropout_rate
         last_hidden = last_hidden * mask_last
 
     logits = last_hidden @ w_out + b_out
@@ -275,7 +286,7 @@ def loss_and_gradients_batch(
     cfg = params.config
     _, cache = forward_batch(params, x1, x2, mode="train", rng=rng)
     labels = np.asarray(labels)
-    sample_weights = np.asarray(sample_weights, dtype=np.float64)
+    sample_weights = np.asarray(sample_weights, dtype=params.flat.dtype)
     batch = labels.shape[0]
     rows = np.arange(batch)
 
@@ -287,7 +298,7 @@ def loss_and_gradients_batch(
     d_logits[rows, labels] -= 1.0
     d_logits *= (sample_weights / batch)[:, None]
 
-    grad_flat = np.empty(cfg.n_params)  # every slot is written below
+    grad_flat = np.empty(cfg.n_params, dtype=params.flat.dtype)  # every slot is written below
     g_weights, g_biases = _layer_views(grad_flat, cfg)
     n1, n2 = len(cfg.branch1_hidden), len(cfg.branch2_hidden)
     nm = len(cfg.merged_hidden)
@@ -342,27 +353,32 @@ class AdamState:
 def init_adam_state(
     params: ModelParams, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
 ) -> AdamState:
-    n = params.n_params
-    return AdamState(t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(n), v=np.zeros(n))
+    n, dtype = params.n_params, params.flat.dtype
+    return AdamState(t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(n, dtype), v=np.zeros(n, dtype))
 
 
 def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> tuple[ModelParams, AdamState]:
     """One bias-corrected Adam update, in place on ``params.flat``.
 
     ``grad_flat`` is overwritten: it serves as scratch and on return holds
-    the step subtracted from the parameters, so it must be float64 and must
-    not share memory with ``params.flat``, ``state.m`` or ``state.v``
-    (``ValueError``).  The update runs over ``ADAM_CHUNK`` parameters at a
-    time and allocates one scratch buffer of that size; every value comes
-    from the same float operations in the same order as ``m = b1*m +
-    (1-b1)*g``, ``v = b2*v + g*g*(1-b2)`` and ``theta -= m/(1-b1**t) /
-    (sqrt(v/(1-b2**t)) + eps) * lr`` evaluated over whole vectors with
-    temporaries, so the results are bit-identical to that form.  Fails fast
-    on non-finite gradients rather than poisoning the moments: nothing is
-    mutated then.
+    the step subtracted from the parameters, so it must have the parameters'
+    shape and dtype and must not share memory with ``params.flat``,
+    ``state.m`` or ``state.v``; ``state.m`` and ``state.v`` must have that
+    dtype too (``ValueError``).  The update runs over ``ADAM_CHUNK``
+    parameters at a time and allocates one scratch buffer of that size;
+    every value comes from the same float operations in the same order as
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + g*g*(1-b2)`` and ``theta -=
+    m/(1-b1**t) / (sqrt(v/(1-b2**t)) + eps) * lr`` evaluated over whole
+    vectors with temporaries, so the results are bit-identical to that form.
+
+    Fails fast on non-finite gradients rather than poisoning the moments:
+    nothing is mutated then.
     """
-    if grad_flat.shape != params.flat.shape or grad_flat.dtype != params.flat.dtype:
+    dtype = params.flat.dtype
+    if grad_flat.shape != params.flat.shape or grad_flat.dtype != dtype:
         raise ValueError("gradient shape or dtype does not match parameters")
+    if state.m.dtype != dtype or state.v.dtype != dtype:
+        raise ValueError(f"Adam moments are {state.m.dtype}/{state.v.dtype}, the parameters {dtype}")
     for name, other in (("params.flat", params.flat), ("state.m", state.m), ("state.v", state.v)):
         if np.may_share_memory(grad_flat, other):
             raise ValueError(f"gradient may share memory with {name}; adam_step overwrites it")
@@ -371,7 +387,7 @@ def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> t
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    scratch = np.empty(min(ADAM_CHUNK, grad_flat.size))
+    scratch = np.empty(min(ADAM_CHUNK, grad_flat.size), dtype)
     for lo in range(0, grad_flat.size, ADAM_CHUNK):
         hi = min(lo + ADAM_CHUNK, grad_flat.size)
         g, m, v, buf = grad_flat[lo:hi], state.m[lo:hi], state.v[lo:hi], scratch[: hi - lo]
@@ -423,8 +439,9 @@ def save_checkpoint(
 ) -> None:
     """Persist parameters, optimizer state and the class mapping.
 
-    The container is an npz archive: a JSON metadata blob plus raw float64
-    arrays, so reloads are bit-exact.  Like np.savez, it appends .npz to a
+    The container is an npz archive: a JSON metadata blob plus the raw
+    parameter and moment arrays in their own dtype (float32 or float64), so
+    reloads are bit-exact.  Like np.savez, it appends .npz to a
     ``path`` without it; the file is replaced only once fully written.
     """
     if len(class_index) != params.config.n_classes:
@@ -459,14 +476,12 @@ class CheckpointBundle:
 
 
 def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> CheckpointBundle:
-    """Reload a checkpoint; optionally validate the class count against the
-    block it is about to serve."""
+    """Reload a checkpoint with the dtype it was saved in; optionally
+    validate the class count against the block it is about to serve."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-            flat = archive["params"].astype(np.float64, copy=True)
-            adam_m = archive["adam_m"].astype(np.float64, copy=True)
-            adam_v = archive["adam_v"].astype(np.float64, copy=True)
+            flat, adam_m, adam_v = (archive[key] for key in ("params", "adam_m", "adam_v"))
     except (OSError, KeyError, ValueError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:
@@ -488,6 +503,12 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
     if expected_classes is not None and config.n_classes != expected_classes:
         raise CheckpointError(
             f"checkpoint has {config.n_classes} classes, expected {expected_classes}"
+        )
+    dtypes = {flat.dtype, adam_m.dtype, adam_v.dtype}
+    if len(dtypes) != 1 or flat.dtype not in FLOAT_DTYPES:
+        raise CheckpointError(
+            f"checkpoint {path}: params/adam_m/adam_v are {flat.dtype}/{adam_m.dtype}/{adam_v.dtype}; "
+            "they must share one dtype, float32 or float64"
         )
     for key, array in (("params", flat), ("adam_m", adam_m), ("adam_v", adam_v)):
         if array.shape != (config.n_params,):

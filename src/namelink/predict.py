@@ -161,12 +161,14 @@ def forward_batched(
     holds the first-name term and bias and ``P = 0.5 * pool_vecs @ W_pair``
     has one row per pool name.  Branch two and its term in the layer that
     takes the concatenation are computed once from the single ``text_row``.
-    The layers after these run ``PAIR_CHUNK`` pairs at a time.
+    The layers after these run ``PAIR_CHUNK`` pairs at a time.  Inputs are
+    cast to the parameters' dtype, and the probabilities come back in it.
     """
     cfg = params.config
-    first_vec = np.asarray(first_vec, dtype=np.float64)
-    pool_vecs = np.asarray(pool_vecs, dtype=np.float64)
-    text_row = np.atleast_2d(np.asarray(text_row, dtype=np.float64))
+    dtype = params.flat.dtype
+    first_vec = np.asarray(first_vec, dtype=dtype)
+    pool_vecs = np.asarray(pool_vecs, dtype=dtype)
+    text_row = np.atleast_2d(np.asarray(text_row, dtype=dtype))
     dim = first_vec.shape[-1]
     if (
         first_vec.shape != (dim,)
@@ -191,7 +193,7 @@ def forward_batched(
     halves = 0.5 * (pool_vecs @ w_in[dim:])
 
     p_idx, j_idx = np.triu_indices(len(pool_vecs), k=1)
-    probs = np.empty((p_idx.size, cfg.n_classes))
+    probs = np.empty((p_idx.size, cfg.n_classes), dtype)
     for start in range(0, p_idx.size, PAIR_CHUNK):
         stop = start + PAIR_CHUNK
         z = halves[p_idx[start:stop]]

@@ -7,9 +7,11 @@ second co-author j of each twin pair is drawn uniformly at random and
 redrawn every ``reassign_interval`` epochs, so the model cannot latch onto
 one fixed pairing.
 
-Training runs mini-batch Adam on the weighted cross-entropy, stops when the
-validation loss has not improved for ``patience`` consecutive epochs, and
-returns the parameters of the best validation-accuracy epoch, not the last.
+Training runs mini-batch Adam on the weighted cross-entropy in float32,
+stops when the validation loss has not improved for ``patience`` consecutive
+epochs, and returns the parameters of the best validation-accuracy epoch,
+not the last.  The bank itself stays float64; each batch is cast as the
+model reads it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
@@ -281,6 +284,9 @@ class TrainResult:
     stopped_early: bool
     val_on_train: bool
     class_counts: np.ndarray
+    # wall time of each epoch, kept out of ``history`` so histories stay
+    # byte-stable across reruns
+    epoch_seconds: list[float]
 
 
 def history_lines(history: Iterable[EpochStats]) -> list[str]:
@@ -379,16 +385,19 @@ def train_block_model(
             f"encoder dims {2 * bank.name_dim}/{bank.text_dim}"
         )
 
-    params = init_model(model_config)
+    # models train in float32; the initial weights are still drawn in float64
+    params = ModelParams(model_config, init_model(model_config).flat.astype(np.float32))
     adam = init_adam_state(params, lr=config.learning_rate)
     monitor = TrainingMonitor(config.patience)
     history: list[EpochStats] = []
     best_params = params.copy()
     best_adam = _copy_adam(adam)
     stopped_early = False
+    epoch_seconds: list[float] = []
     n = bank.n_samples
 
     for epoch in range(1, config.max_epochs + 1):
+        started = time.perf_counter()
         if (epoch - 1) % config.reassign_interval == 0:
             bank.assign_coauthors(assign_rng)
         perm = shuffle_rng.permutation(n)
@@ -408,6 +417,7 @@ def train_block_model(
             best_params = params.copy()
             best_adam = _copy_adam(adam)
         history.append(EpochStats(epoch, epoch_loss / n, val_loss, val_accuracy, checkpointed))
+        epoch_seconds.append(time.perf_counter() - started)
         if monitor.should_stop:
             stopped_early = True
             break
@@ -421,4 +431,5 @@ def train_block_model(
         stopped_early=stopped_early,
         val_on_train=val_on_train,
         class_counts=counts,
+        epoch_seconds=epoch_seconds,
     )

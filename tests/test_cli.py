@@ -326,9 +326,64 @@ class TestTrain:
         (block,) = entry["result"]["blocks"]
         assert block["epochs_run"] == 1
         assert block["stop_reason"] == "max_epochs"
-        assert block["stopped_early"] is False
+        assert "stopped_early" not in block
         assert 0.0 < block["train_s"] <= entry["duration_s"] + 1e-3
         assert block["train_samples_per_s"] == pytest.approx(block["train_samples"] / block["train_s"])
+
+    def test_manifest_reports_epoch_times_and_run_identity(self, ws, tmp_path, capsys):
+        manifest, ckpt = tmp_path / "m", tmp_path / "t.npz"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(ckpt),
+                "--max-epochs", "3",
+                "--manifest", str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        (entry,) = manifest_entries(manifest)
+        (block,) = entry["result"]["blocks"]
+        assert block["epochs_after_best"] == block["epochs_run"] - block["best_epoch"] >= 0
+        assert 0.0 < block["epoch_s_p50"] <= block["epoch_s_max"] <= block["train_s"]
+        identity = {"dtype": "float32", "numpy": np.__version__, "blas": block["blas"]}
+        assert {k: block[k] for k in identity} == identity
+        assert block["blas"].strip()
+        extra = load_checkpoint(ckpt).extra
+        assert {k: extra[k] for k in identity} == identity
+        assert extra["stopped_early"] is False
+        # wall times stay out of the history, which reruns reproduce byte for byte
+        history = (tmp_path / "t.npz.history.ndjson").read_text("utf-8").splitlines()
+        keys = {"epoch", "train_loss", "val_loss", "val_accuracy", "checkpointed"}
+        assert all(set(json.loads(line)) == keys for line in history)
+
+    @pytest.mark.parametrize("build_config", ["absent", "without_blas"])
+    def test_unknown_blas_still_writes_checkpoint(self, ws, tmp_path, capsys, monkeypatch, build_config):
+        """numpy releases before 1.25 keep no build-config record, and a build
+        may record no BLAS: the run identity says "unknown" and train goes on."""
+        if build_config == "absent":
+            monkeypatch.delattr(np.__config__, "CONFIG", raising=False)
+        else:
+            monkeypatch.setattr(np.__config__, "CONFIG", {"Build Dependencies": {}}, raising=False)
+        manifest, ckpt = tmp_path / "m", tmp_path / "t.npz"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(ckpt),
+                "--max-epochs", "1",
+                "--manifest", str(manifest),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        (entry,) = manifest_entries(manifest)
+        (block,) = entry["result"]["blocks"]
+        assert block["blas"] == "unknown"
+        assert load_checkpoint(ckpt).extra["blas"] == "unknown"
 
     def test_multi_block_directory_output(self, ws, tmp_path, capsys):
         out_dir = tmp_path / "models"

@@ -1,5 +1,7 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -261,6 +263,29 @@ class TestLossAndGradients:
             ) / (2.0 * h)
             assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-9)
 
+    def test_float32_matches_float64_on_same_parameters(self):
+        """The float32 loss and gradient track float64 on parameters and
+        inputs that both dtypes hold exactly, with the same dropout masks."""
+        cfg = ModelConfig(
+            n_classes=5, input1_dim=40, input2_dim=30, branch1_hidden=(24,), branch2_hidden=(20,),
+            merged_hidden=(16, 8), dropout_rate=0.5, seed=3,
+        )
+        rng = np.random.default_rng(3)
+        flat32 = (init_model(cfg).flat + rng.normal(scale=0.05, size=cfg.n_params)).astype(np.float32)
+        x1, x2 = (x.astype(np.float32).astype(np.float64) for x in random_inputs(cfg, 16, seed=3))
+        labels = rng.integers(cfg.n_classes, size=16)
+        weights = rng.uniform(0.5, 2.0, size=16)
+        l32, g32 = loss_and_gradients_batch(
+            ModelParams(cfg, flat32), x1, x2, labels, weights, rng=np.random.default_rng(1)
+        )
+        l64, g64 = loss_and_gradients_batch(
+            ModelParams(cfg, flat32.astype(np.float64)), x1, x2, labels, weights, rng=np.random.default_rng(1)
+        )
+        assert g32.dtype == np.float32
+        tol = 100 * np.finfo(np.float32).eps
+        assert l32 == pytest.approx(l64, rel=tol)
+        np.testing.assert_allclose(g32, g64, rtol=0, atol=tol * np.abs(g64).max())
+
     def test_train_mode_gradient_repeatable_under_seed(self):
         cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5})
         params = init_model(cfg)
@@ -437,6 +462,38 @@ class TestAdam:
             np.testing.assert_array_equal(state.v, before[2])
             assert state.t == 2
 
+    def test_moments_of_another_dtype_rejected(self):
+        params = init_model(TINY)
+        state = init_adam_state(ModelParams(TINY, params.flat.astype(np.float32)))
+        before = params.flat.copy()
+        with pytest.raises(ValueError, match="moments"):
+            adam_step(params, np.ones(params.n_params), state)
+        np.testing.assert_array_equal(params.flat, before)
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
+    def test_float32_update_stays_float32_and_matches_whole_vector_form(self):
+        """The float32 update against the same arithmetic over whole float32
+        vectors: no operation widens to float64, so the bits agree."""
+        cfg = ModelConfig(
+            n_classes=7, input1_dim=150, input2_dim=120, branch1_hidden=(100,), branch2_hidden=(90,),
+            merged_hidden=(80, 40),
+        )
+        params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
+        state = init_adam_state(params, lr=3e-3)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        theta, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
+        rng = np.random.default_rng(24)
+        for t in range(1, 8):
+            grad = (rng.normal(size=cfg.n_params) * 10.0 ** rng.uniform(-9, 3, size=cfg.n_params)).astype(np.float32)
+            adam_step(params, grad.copy(), state)
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + grad * grad * (1.0 - b2)
+            theta = theta - m / (1.0 - b1**t) / (np.sqrt(v / (1.0 - b2**t)) + eps) * lr
+            assert theta.dtype == np.float32
+            for ours, ref in ((params.flat, theta), (state.m, m), (state.v, v)):
+                assert ours.dtype == np.float32
+                np.testing.assert_array_equal(ours, ref)
+
     def test_descends_fixed_quadratic(self):
         params = init_model(TINY)
         state = init_adam_state(params, lr=0.05)
@@ -548,6 +605,65 @@ class TestCheckpoint:
         path, _ = self.saved_with_config(tmp_path, no_such_field=1)
         with pytest.raises(CheckpointError, match="no_such_field"):
             load_checkpoint(path)
+
+    def saved_arrays(self, tmp_path):
+        """A saved checkpoint's path and its stored arrays, to rewrite."""
+        path = tmp_path / "model.npz"
+        params, state = self.make_trained()
+        save_checkpoint(path, params, state, self.classes())
+        with np.load(path) as archive:
+            return path, {key: archive[key] for key in archive.files}
+
+    def test_float16_arrays_rejected(self, tmp_path):
+        path, stored = self.saved_arrays(tmp_path)
+        np.savez(path, **{key: a.astype(np.float16) if key != "meta" else a for key, a in stored.items()})
+        with pytest.raises(CheckpointError, match="float32 or float64"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["params", "adam_m", "adam_v"])
+    def test_mixed_dtypes_rejected(self, tmp_path, key):
+        path, stored = self.saved_arrays(tmp_path)
+        np.savez(path, **{**stored, key: stored[key].astype(np.float32)})
+        with pytest.raises(CheckpointError, match="share one dtype"):
+            load_checkpoint(path)
+
+
+TOPOLOGY = st.fixed_dictionaries(
+    {
+        "n_classes": st.integers(1, 5),
+        "input1_dim": st.integers(1, 6),
+        "input2_dim": st.integers(1, 6),
+        "branch1_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
+        "branch2_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
+        "merged_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
+        "seed": st.integers(0, 2**16),
+    }
+)
+
+
+class TestCheckpointProperties:
+    @given(TOPOLOGY, st.sampled_from([np.float32, np.float64]), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_round_trip_keeps_bytes_dtype_and_class_order(self, topology, dtype, seed):
+        config = ModelConfig(**topology)
+        params = ModelParams(config, init_model(config).flat.astype(dtype))
+        state = init_adam_state(params, lr=2e-3)
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            adam_step(params, rng.normal(size=params.n_params).astype(dtype), state)
+        classes = [AuthorId(f"Author {k}", int(h)) for k, h in enumerate(rng.integers(0, 3, size=config.n_classes))]
+        classes = [classes[i] for i in rng.permutation(config.n_classes)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.npz"
+            save_checkpoint(path, params, state, classes)
+            bundle = load_checkpoint(path)
+        pairs = ((bundle.params.flat, params.flat), (bundle.adam_state.m, state.m), (bundle.adam_state.v, state.v))
+        for got, want in pairs:
+            assert got.dtype == np.dtype(dtype)
+            assert got.tobytes() == want.tobytes()
+        assert bundle.params.config == config
+        assert bundle.adam_state.t == state.t
+        assert bundle.class_index == classes
 
 
 class TestProperties:

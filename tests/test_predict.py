@@ -5,7 +5,16 @@ import pytest
 
 from namelink import predict
 from namelink.encoders import default_encoders, name_input, text_input
-from namelink.model import ModelConfig, ModelParams, forward_batch, init_model, softmax
+from namelink.model import (
+    ModelConfig,
+    ModelParams,
+    forward_batch,
+    init_adam_state,
+    init_model,
+    load_checkpoint,
+    save_checkpoint,
+    softmax,
+)
 from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.predict import (
     PredictionError,
@@ -224,6 +233,28 @@ class TestPredictAuthor:
         assert got == sorted(got, reverse=True)
         assert pred.chosen == pred.ranked[0]
 
+    def test_float64_checkpoint_scores_unchanged(self, tmp_path):
+        """A float64 checkpoint still predicts in float64, with the scores the
+        float64-only predictor gave for this model and record."""
+        params = init_model(ModelConfig(**{**SMALL.to_dict(), "seed": 31}))
+        rng = np.random.default_rng(31)
+        for b in params.biases:
+            b[...] = rng.normal(0.0, 0.3, size=b.shape)
+        save_checkpoint(tmp_path / "m.npz", params, init_adam_state(params), CLASSES)
+        bundle = load_checkpoint(tmp_path / "m.npz")
+        assert bundle.params.flat.dtype == np.float64
+        record = rec("k", "Wei Fan", "Jia Luo", "Ming Xie", title="Sparse codes for name pairs", source="J. Names")
+        expected = {
+            (MODE_FULL, "sum"): [1.130889371938535, 1.2980248680645694, 3.5710857599968957],
+            (MODE_ANV, "max"): [0.19920364508631513, 0.2307309442693033, 0.5950524372279605],
+        }
+        for (mode, aggregation), scores in expected.items():
+            pred = predict_author(
+                bundle.params, CLASS_INDEX, record, "W Fan", mode, default_encoders(), aggregation=aggregation
+            )
+            assert pred.scores.dtype == np.float64
+            np.testing.assert_allclose(pred.scores, scores, rtol=1e-12, atol=0)
+
     def test_validation_errors(self):
         params = init_model(SMALL)
         record = rec("k", "Wei Fan")
@@ -269,6 +300,26 @@ class TestForwardBatched:
         want, _ = forward_batch(params, name_input(first, pool, p, j), np.repeat(text, p.size, axis=0))
         assert got.shape == (n_names * (n_names - 1) // 2, config.n_classes)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("topology", list(TOPOLOGIES))
+    def test_float32_matches_float32_forward_batch(self, topology):
+        config = ModelConfig(n_classes=4, dropout_rate=0.0, seed=5, **TOPOLOGIES[topology])
+        params = ModelParams(config, init_model(config).flat.astype(np.float32))
+        rng = np.random.default_rng(5)
+        for b in params.biases:
+            b[...] = rng.normal(0.0, 0.3, size=b.shape)
+        dim = config.input1_dim // 2
+        first = rng.normal(size=dim)
+        pool = rng.normal(size=(17, dim))
+        text = text_input(default_encoders().text, ["pairs of names"], ["Journal"])
+
+        got = forward_batched(params, first, pool, text)
+
+        p, j = np.triu_indices(17, k=1)
+        want, _ = forward_batch(params, name_input(first, pool, p, j), np.repeat(text, p.size, axis=0))
+        assert got.dtype == want.dtype == np.float32
+        # float32 rounding of two summation orders, on probabilities in [0, 1]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-5)
 
     def test_input_dims_checked(self):
         params = init_model(SMALL)
