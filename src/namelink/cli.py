@@ -15,13 +15,13 @@ Exit codes: 0 success, 1 operational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
 import statistics
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -146,9 +146,12 @@ def _run_identity(params_dtype: np.dtype) -> dict:
     return {"dtype": str(params_dtype), "numpy": np.__version__, "blas": blas_name}
 
 
-def _load_block(corpus_path: str, variate_key: str) -> Block:
+def _load_blocks(corpus_path: str, variate_keys: list[str]) -> list[Block]:
+    """Read the corpus and build its registry once, then every block asked
+    for; an unknown key fails here, before any block's work starts."""
     corpus = load_corpus(corpus_path)
-    return build_block(corpus, build_author_registry(corpus), variate_key)
+    registry = build_author_registry(corpus)
+    return [build_block(corpus, registry, key) for key in variate_keys]
 
 
 def _slug(variate_key: str) -> str:
@@ -165,26 +168,20 @@ def _train_config(args) -> TrainRunConfig:
     )
 
 
-def _train_single_block(
-    corpus_path: str,
-    variate_key: str,
+def _train_block(
+    block: Block,
     master_seed: int,
     checkpoint_path: str,
-    history_path: str,
     config: TrainRunConfig,
-    name_table: str | None,
-    text_table: str | None,
+    encoders: Encoders,
+    fingerprint: dict,
 ) -> dict:
-    """Train one block end to end; self-contained so it can run in a worker
-    process."""
-    block = _load_block(corpus_path, variate_key)
+    """Train one block, write its checkpoint and history, and return its
+    manifest summary."""
     split_seed, train_seed = derive_block_seeds(master_seed, block.variate_key)
     split = split_per_author(block, split_seed)
-    encoders = _build_encoders(name_table, text_table)
     started = time.perf_counter()
-    result = train_block_model(
-        block, split, encoders, config=TrainRunConfig(**{**config.__dict__, "seed": train_seed})
-    )
+    result = train_block_model(block, split, encoders, config=dataclasses.replace(config, seed=train_seed))
     train_s = time.perf_counter() - started
     extra = {
         "variate": block.display_variate,
@@ -194,11 +191,11 @@ def _train_single_block(
         "epochs_run": len(result.history),
         "stopped_early": result.stopped_early,
         "val_on_train": result.val_on_train,
-        "encoders": _encoder_fingerprint(name_table, text_table),
+        "encoders": fingerprint,
         **_run_identity(result.best_params.flat.dtype),
     }
     save_checkpoint(checkpoint_path, result.best_params, result.best_adam_state, list(block.authors), extra)
-    with atomic_path(history_path) as tmp:
+    with atomic_path(checkpoint_path + ".history.ndjson") as tmp:
         tmp.write_text("\n".join(history_lines(result.history)) + "\n", encoding="utf-8")
     train_samples = int(result.class_counts.sum())
     return {
@@ -246,7 +243,7 @@ def _cmd_stats(args) -> dict:
         text = render_corpus_stats(stats)
         out = {"records": stats.records, "authors": stats.authors, "names": stats.names, "variates": stats.variates}
     else:
-        block = _load_block(args.corpus, args.block)
+        (block,) = _load_blocks(args.corpus, [args.block])
         stats = block_stats(block)
         text = render_block_stats(block, stats)
         out = {"block": block.display_variate, **stats.__dict__}
@@ -258,7 +255,7 @@ def _cmd_stats(args) -> dict:
 
 
 def _cmd_split(args) -> dict:
-    block = _load_block(args.corpus, args.block)
+    (block,) = _load_blocks(args.corpus, [args.block])
     split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
     split = split_per_author(block, split_seed)
     counts = split.counts()
@@ -277,37 +274,25 @@ def _cmd_split(args) -> dict:
 
 
 def _cmd_train(args) -> dict:
-    blocks = args.block
-    config = _train_config(args)
-    jobs = []
-    if len(blocks) == 1 and not str(args.out).endswith("/") and not Path(args.out).is_dir():
+    keys = args.block
+    blocks = _load_blocks(args.corpus, keys)
+    if len(keys) == 1 and not str(args.out).endswith("/") and not Path(args.out).is_dir():
         # np.savez appends .npz to any other name; report the file it writes
         out = str(args.out)
         checkpoint_paths = [out if out.endswith(".npz") else out + ".npz"]
     else:
         out_dir = Path(args.out)
-        checkpoint_paths = [str(out_dir / f"{_slug(key)}.npz") for key in blocks]
-        if len(set(checkpoint_paths)) < len(blocks):
-            raise ValueError(f"--block values {blocks} do not map to distinct checkpoint files in {out_dir}")
+        checkpoint_paths = [str(out_dir / f"{_slug(key)}.npz") for key in keys]
+        if len(set(checkpoint_paths)) < len(keys):
+            raise ValueError(f"--block values {keys} do not map to distinct checkpoint files in {out_dir}")
         out_dir.mkdir(parents=True, exist_ok=True)
-    for key, ckpt in zip(blocks, checkpoint_paths):
-        jobs.append(
-            (
-                args.corpus,
-                key,
-                args.seed,
-                ckpt,
-                ckpt + ".history.ndjson",
-                config,
-                args.name_table,
-                args.text_table,
-            )
-        )
-    if args.parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            summaries = list(pool.map(_train_single_block, *zip(*jobs)))
-    else:
-        summaries = [_train_single_block(*job) for job in jobs]
+    encoders = _build_encoders(args.name_table, args.text_table)
+    fingerprint = _encoder_fingerprint(args.name_table, args.text_table)
+    config = _train_config(args)
+    summaries = [
+        _train_block(block, args.seed, ckpt, config, encoders, fingerprint)
+        for block, ckpt in zip(blocks, checkpoint_paths)
+    ]
     for s in summaries:
         print(
             f"{s['variate']}\tclasses {s['classes']}\tepochs {s['epochs_run']}\t"
@@ -367,7 +352,7 @@ def _cmd_predict(args) -> dict:
 
 
 def _cmd_evaluate(args) -> dict:
-    block = _load_block(args.corpus, args.block)
+    (block,) = _load_blocks(args.corpus, [args.block])
     bundle = load_checkpoint(args.checkpoint, expected_classes=block.n_classes)
     if list(bundle.class_index) != list(block.authors):
         raise EvaluationError(
@@ -481,7 +466,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", default=None)
     p.add_argument("--block", action="append", default=None, help="repeatable")
     p.add_argument("--out", default=None, help="checkpoint path (single block) or directory")
-    p.add_argument("--parallel", type=int, default=1, help="concurrent block trainings")
     p.add_argument("--max-epochs", type=int, default=1000)
     p.add_argument("--patience", type=int, default=50)
     p.add_argument("--reassign-interval", type=int, default=10)
@@ -615,6 +599,7 @@ def main(argv=None) -> int:
         )
     try:
         payload = _COMMANDS[args.command](args)
+        _write_manifest(args, "ok", payload, time.perf_counter() - started)
     except _OPERATIONAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         try:
@@ -622,7 +607,6 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 1
-    _write_manifest(args, "ok", payload, time.perf_counter() - started)
     return 0
 
 

@@ -482,7 +482,8 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
             flat, adam_m, adam_v = (archive[key] for key in ("params", "adam_m", "adam_v"))
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
+    # np.load raises EOFError on an empty file
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if meta.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")

@@ -102,17 +102,20 @@ def write_corpus_store(records: Iterable[BibRecord], path: str | Path) -> StoreS
 def read_corpus_store(path: str | Path) -> Iterator[BibRecord]:
     """Yield the records of a store file in their written order."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+    with open(path, "rb") as fh:
         header = fh.readline()
-        if header.rstrip("\n") != STORE_VERSION:
+        shown = header.decode("utf-8", "replace").rstrip("\n")
+        if shown != STORE_VERSION:
             raise CorpusStoreError(
-                f"bad store header {header.rstrip() or '<empty>'!r}, expected {STORE_VERSION!r}", path, 1
+                f"bad store header {shown.rstrip() or '<empty>'!r}, expected {STORE_VERSION!r}", path, 1
             )
+        if not header.endswith(b"\n"):
+            raise CorpusStoreError("truncated header line", path, 1)
         for line_no, line in enumerate(fh, start=2):
-            if not line.endswith("\n"):
+            if not line.endswith(b"\n"):
                 raise CorpusStoreError("truncated final line", path, line_no)
             try:
-                payload = json.loads(line)
+                payload = json.loads(line.decode("utf-8"))
                 record = record_from_json(payload)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusStoreError(f"corrupt record line: {exc}", path, line_no) from exc

@@ -1,18 +1,21 @@
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import namelink.cli
 import namelink.training
-from namelink.cli import main
+from namelink.cli import build_parser, main
 from namelink.model import CheckpointError, load_checkpoint, save_checkpoint
 from namelink.records import AuthorId
 from namelink.store import load_corpus, write_corpus_store
 from namelink.synth import SynthConfig, gen_synth
 
 FIXTURE_XML = str(Path(__file__).parent / "data" / "dblp_fixture.xml")
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def resave(src, dst, class_index=None, drop_extra=()):
@@ -402,6 +405,44 @@ class TestTrain:
         assert rc == 0
         names = sorted(p.name for p in out_dir.glob("*.npz"))
         assert len(names) == 2
+
+    def test_multi_block_reads_corpus_once_and_matches_single_block_runs(self, ws, tmp_path, capsys, monkeypatch):
+        calls = {"load_corpus": 0, "build_author_registry": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(namelink.cli, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(namelink.cli, name, counted)
+        argv = ["train", "--corpus", ws["corpus"], "--max-epochs", "2", "--seed", "7", "--manifest", str(tmp_path / "m")]
+        rc = main(argv + ["--block", "Y Chen", "--block", "Acoa Leea", "--out", str(tmp_path / "models")])
+        assert rc == 0
+        assert calls == {"load_corpus": 1, "build_author_registry": 1}
+        for variate, name in (("Y Chen", "y_chen.npz"), ("Acoa Leea", "acoa_leea.npz")):
+            single = tmp_path / name
+            assert main(argv + ["--block", variate, "--out", str(single)]) == 0
+            multi = tmp_path / "models" / name
+            for suffix in ("", ".history.ndjson"):
+                assert Path(f"{multi}{suffix}").read_bytes() == Path(f"{single}{suffix}").read_bytes()
+        capsys.readouterr()
+
+    def test_unknown_block_refused_before_any_training(self, ws, tmp_path, capsys):
+        out_dir = tmp_path / "models"
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--block", "No Such",
+                "--out", f"{out_dir}/",
+                "--max-epochs", "1",
+                "--manifest", str(manifest),
+            ]
+        )
+        assert_operational_error(rc, capsys, manifest)
+        assert not out_dir.exists()
 
     def test_distinct_blocks_get_distinct_checkpoints(self, tmp_path, capsys):
         # blocks whose names differ only outside ASCII
@@ -860,6 +901,17 @@ class TestConfigFile:
         assert rc == 1
         assert "not a flag" in capsys.readouterr().err
 
+    def test_parallel_key_rejected(self, ws, tmp_path, capsys):
+        """train has no parallel option: it trains its blocks one after another."""
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("parallel=2\n", "utf-8")
+        out = tmp_path / "t.npz"
+        argv = ["train", "--corpus", ws["corpus"], "--block", "Y Chen", "--out", str(out), "--config", str(cfg)]
+        rc = main(argv + ["--manifest", str(tmp_path / "m")])
+        assert rc == 1
+        assert "not a flag" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_line_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just a line without equals\n", "utf-8")
@@ -890,3 +942,18 @@ class TestManifest:
         (entry,) = [json.loads(line) for line in manifest.read_text("utf-8").splitlines()]
         assert entry["status"] == "error"
         assert "error" in entry["result"]
+
+    def test_unwritable_manifest_is_operational_error(self, ws, tmp_path, capsys):
+        rc = main(["stats", "--corpus", ws["corpus"], "--manifest", str(tmp_path / "missing" / "m.ndjson")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "# of records\t18" in captured.out
+        assert captured.err.startswith("error:")
+
+
+def test_readme_cli_notes_name_exactly_the_parser_flags():
+    notes = README.read_text("utf-8").split("\n## CLI notes\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"--[a-z]+(?:-[a-z]+)*", notes))
+    _, subs = build_parser()
+    flags = {opt for p in subs.values() for action in p._actions for opt in action.option_strings}
+    assert named == {opt for opt in flags if opt.startswith("--")} - {"--help"}

@@ -577,6 +577,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.npz")
 
+    def test_every_truncation_rejected(self, tmp_path):
+        """A checkpoint cut anywhere, down to an empty file, is refused as a
+        checkpoint error rather than whatever numpy raises."""
+        path = tmp_path / "model.npz"
+        params, state = self.make_trained()
+        save_checkpoint(path, params, state, self.classes())
+        data = path.read_bytes()
+        cut = tmp_path / "cut.npz"
+        for length in range(len(data)):
+            cut.write_bytes(data[:length])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
     def saved_with_config(self, tmp_path, **changes):
         """A checkpoint whose stored model config is edited after saving."""
         path = tmp_path / "model.npz"

@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from namelink.records import AuthorMention, BibRecord
 from namelink.store import (
@@ -137,3 +141,80 @@ class TestErrors:
         with pytest.raises(CorpusStoreError) as err:
             list(read_corpus_store(path))
         assert str(path) in str(err.value)
+
+    def test_header_without_newline(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(STORE_VERSION, "utf-8")
+        with pytest.raises(CorpusStoreError) as err:
+            list(read_corpus_store(path))
+        assert err.value.line_no == 1
+
+    def test_invalid_utf8_reports_line_number(self, tmp_path):
+        good = tmp_path / "good.ndjson"
+        write_corpus_store(make_records(), good)
+        lines = good.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"T"', b'"\xff"')
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusStoreError) as err:
+            list(read_corpus_store(path))
+        assert err.value.line_no == 3
+        assert str(path) in str(err.value)
+
+    def test_cut_inside_a_multibyte_character(self, tmp_path):
+        good = tmp_path / "good.ndjson"
+        write_corpus_store(make_records(), good)
+        data = good.read_bytes()
+        cut = data.index("ü".encode("utf-8")) + 1
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(data[:cut])
+        with pytest.raises(CorpusStoreError) as err:
+            list(read_corpus_store(path))
+        assert err.value.line_no == 2
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=10)
+NAME = TEXT.map(str.strip).filter(bool)
+RECORDS = st.lists(
+    st.builds(
+        BibRecord,
+        record_key=NAME,
+        kind=TEXT,
+        title=NAME,
+        source=TEXT,
+        year=st.integers(0, 2100),
+        authors=st.lists(NAME.map(AuthorMention.from_raw), min_size=1, max_size=3).map(tuple),
+    ),
+    max_size=4,
+    unique_by=lambda r: r.record_key,
+)
+
+
+class TestStoreProperties:
+    @given(RECORDS)
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_and_rewrite_bytes(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.nd", Path(tmp) / "b.nd"
+            write_corpus_store(records, a)
+            assert load_corpus(a) == records
+            write_corpus_store(load_corpus(a), b)
+            assert a.read_bytes() == b.read_bytes()
+
+    @given(RECORDS)
+    @settings(max_examples=20, deadline=None)
+    def test_every_prefix_is_refused_or_loads_the_records_before_it(self, records):
+        """A cut that does not end a line is refused; a cut at a line end
+        after the header loads exactly the records written before it."""
+        with tempfile.TemporaryDirectory() as tmp:
+            full, cut = Path(tmp) / "full.nd", Path(tmp) / "cut.nd"
+            write_corpus_store(records, full)
+            data = full.read_bytes()
+            for length in range(len(data)):
+                prefix = data[:length]
+                cut.write_bytes(prefix)
+                if prefix.endswith(b"\n"):
+                    assert load_corpus(cut) == records[: prefix.count(b"\n") - 1]
+                else:
+                    with pytest.raises(CorpusStoreError):
+                        load_corpus(cut)
