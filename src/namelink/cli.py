@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import re
 import statistics
@@ -92,31 +91,25 @@ def _build_encoders(name_table: str | None, text_table: str | None) -> Encoders:
     return Encoders(name=name, text=text)
 
 
-def _encoder_fingerprint(name_table: str | None, text_table: str | None) -> dict:
-    """What ``_build_encoders`` builds from these flags, per input: hashing
-    or table, its dim, and for a table the sha256 of its file."""
+def _encoder_fingerprint(encoders: Encoders) -> dict:
+    """Per input: hashing or table, its dim, and for a table the sha256 of
+    the bytes it was loaded from."""
 
-    def one(table: str | None, dim: int) -> dict:
-        if not table:
-            return {"kind": "hashing", "dim": dim}
-        digest = hashlib.sha256()
-        with open(table, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                digest.update(chunk)
-        return {"kind": "table", "dim": dim, "sha256": digest.hexdigest()}
+    def one(encoder) -> dict:
+        if isinstance(encoder, TableEncoder):
+            return {"kind": "table", "dim": encoder.dim, "sha256": encoder.sha256}
+        return {"kind": "hashing", "dim": encoder.dim}
 
-    return {"name": one(name_table, NAME_DIM), "text": one(text_table, TEXT_DIM)}
+    return {"name": one(encoders.name), "text": one(encoders.text)}
 
 
-def _check_encoders(
-    bundle: CheckpointBundle, checkpoint: str, name_table: str | None, text_table: str | None
-) -> None:
-    """Refuse flags that build other encoders than the checkpoint was trained
-    with; checkpoints written before the fingerprint was stored pass."""
+def _check_encoders(bundle: CheckpointBundle, checkpoint: str, encoders: Encoders) -> None:
+    """Refuse encoders other than the checkpoint was trained with;
+    checkpoints written before the fingerprint was stored pass."""
     trained = bundle.extra.get("encoders")
     if trained is None:
         return
-    given = _encoder_fingerprint(name_table, text_table)
+    given = _encoder_fingerprint(encoders)
     if trained != given:
         raise CheckpointError(
             f"checkpoint {checkpoint} was trained with encoders {json.dumps(trained, sort_keys=True)} "
@@ -194,7 +187,7 @@ def _train_block(
         "encoders": fingerprint,
         **_run_identity(result.best_params.flat.dtype),
     }
-    save_checkpoint(checkpoint_path, result.best_params, result.best_adam_state, list(block.authors), extra)
+    save_checkpoint(checkpoint_path, result.best_params, list(block.authors), extra)
     with atomic_path(checkpoint_path + ".history.ndjson") as tmp:
         tmp.write_text("\n".join(history_lines(result.history)) + "\n", encoding="utf-8")
     train_samples = int(result.class_counts.sum())
@@ -287,7 +280,7 @@ def _cmd_train(args) -> dict:
             raise ValueError(f"--block values {keys} do not map to distinct checkpoint files in {out_dir}")
         out_dir.mkdir(parents=True, exist_ok=True)
     encoders = _build_encoders(args.name_table, args.text_table)
-    fingerprint = _encoder_fingerprint(args.name_table, args.text_table)
+    fingerprint = _encoder_fingerprint(encoders)
     config = _train_config(args)
     summaries = [
         _train_block(block, args.seed, ckpt, config, encoders, fingerprint)
@@ -333,9 +326,9 @@ def _cmd_predict(args) -> dict:
             f"checkpoint {args.checkpoint} does not cover candidate(s) "
             f"{', '.join(sorted(a.render() for a in unknown))}; is it another block's model?"
         )
-    _check_encoders(bundle, args.checkpoint, args.name_table, args.text_table)
-    class_index = {a: i for i, a in enumerate(bundle.class_index)}
     encoders = _build_encoders(args.name_table, args.text_table)
+    _check_encoders(bundle, args.checkpoint, encoders)
+    class_index = {a: i for i, a in enumerate(bundle.class_index)}
     variate_mode = MODE_ANV if args.mode == EVAL_ANV else MODE_FULL
     prediction = predict_author(
         bundle.params, class_index, record, args.name, variate_mode, encoders, aggregation=args.agg
@@ -353,10 +346,16 @@ def _cmd_predict(args) -> dict:
 
 def _cmd_evaluate(args) -> dict:
     (block,) = _load_blocks(args.corpus, [args.block])
-    bundle = load_checkpoint(args.checkpoint, expected_classes=block.n_classes)
-    if list(bundle.class_index) != list(block.authors):
+    bundle = load_checkpoint(args.checkpoint)
+    if len(bundle.class_index) != block.n_classes:
         raise EvaluationError(
-            "checkpoint class order does not match the block built from this corpus"
+            f"checkpoint {args.checkpoint} has {len(bundle.class_index)} classes but block "
+            f"{block.display_variate!r} of this corpus has {block.n_classes}"
+        )
+    if bundle.class_index != list(block.authors):
+        raise EvaluationError(
+            f"the classes of checkpoint {args.checkpoint}, or their order, do not match block "
+            f"{block.display_variate!r} of this corpus"
         )
     trained_seed = bundle.extra.get("master_seed")
     if trained_seed is not None and trained_seed != args.seed:
@@ -364,10 +363,10 @@ def _cmd_evaluate(args) -> dict:
         raise EvaluationError(
             f"checkpoint was trained with --seed {trained_seed} but evaluate got --seed {args.seed}"
         )
-    _check_encoders(bundle, args.checkpoint, args.name_table, args.text_table)
+    encoders = _build_encoders(args.name_table, args.text_table)
+    _check_encoders(bundle, args.checkpoint, encoders)
     split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
     split = split_per_author(block, split_seed)
-    encoders = _build_encoders(args.name_table, args.text_table)
     report = evaluate_block(bundle.params, block, split, args.mode, encoders, aggregation=args.agg)
     text = render_report(report)
     print(text)
@@ -556,7 +555,10 @@ def _apply_config_file(
         if isinstance(action.const, bool) or isinstance(action.default, bool):
             value = raw.lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            value = action.type(raw)
+            try:
+                value = action.type(raw)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: config key {key!r} has bad value {raw!r}: {exc}") from exc
         elif isinstance(action, argparse._AppendAction):
             value = [raw]
         else:

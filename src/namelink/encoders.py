@@ -127,10 +127,18 @@ class EmbeddingTableError(Exception):
 
 class TableEncoder:
     """Exact-key lookup into a precomputed embedding table, falling back to a
-    built-in encoder on misses (counted in ``miss_count``)."""
+    built-in encoder on misses (counted in ``miss_count``).  ``sha256`` is the
+    digest of the file the table was loaded from, or None."""
 
-    def __init__(self, table: dict[str, np.ndarray], fallback: Callable[[str], np.ndarray], dim: int):
+    def __init__(
+        self,
+        table: dict[str, np.ndarray],
+        fallback: Callable[[str], np.ndarray],
+        dim: int,
+        sha256: str | None = None,
+    ):
         self.dim = dim
+        self.sha256 = sha256
         self._table = table
         self._fallback = fallback
         self.miss_count = 0
@@ -146,34 +154,47 @@ class TableEncoder:
 def load_embedding_table(
     path: str | Path, expected_dim: int, fallback: Callable[[str], np.ndarray]
 ) -> TableEncoder:
-    """Load a "key<TAB>v1 v2 ... vd" table; every line must carry exactly
-    ``expected_dim`` values and keys must be unique."""
+    """Load a "key<TAB>v1 v2 ... vd" UTF-8 table; every line must carry
+    exactly ``expected_dim`` values and keys must be unique.
+
+    The file is read once, in binary: the encoder's ``sha256`` is the digest
+    of the very bytes parsed.  Lines end at LF, CRLF or CR as in text mode,
+    blank lines are skipped, and every format error names the file and line.
+    """
     path = Path(path)
     table: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            key, sep, values = line.partition("\t")
-            if not sep:
-                raise EmbeddingTableError(f"{path}:{line_no}: missing tab separator")
-            if key in table:
-                raise EmbeddingTableError(f"{path}:{line_no}: duplicate key {key!r}")
-            parts = values.split()
-            if len(parts) != expected_dim:
-                raise EmbeddingTableError(
-                    f"{path}:{line_no}: expected {expected_dim} values, found {len(parts)}"
-                )
-            try:
-                vec = np.array([float(p) for p in parts])
-            except ValueError as exc:
-                raise EmbeddingTableError(f"{path}:{line_no}: bad value: {exc}") from exc
-            if not np.isfinite(vec).all():
-                raise EmbeddingTableError(f"{path}:{line_no}: non-finite value")
-            vec.flags.writeable = False
-            table[key] = vec
-    return TableEncoder(table, fallback, expected_dim)
+    digest = hashlib.sha256()
+    line_no = 0
+    with open(path, "rb") as fh:
+        for chunk in fh:
+            digest.update(chunk)
+            for raw in chunk.splitlines():
+                line_no += 1
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise EmbeddingTableError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
+                if not line:
+                    continue
+                key, sep, values = line.partition("\t")
+                if not sep:
+                    raise EmbeddingTableError(f"{path}:{line_no}: missing tab separator")
+                if key in table:
+                    raise EmbeddingTableError(f"{path}:{line_no}: duplicate key {key!r}")
+                parts = values.split()
+                if len(parts) != expected_dim:
+                    raise EmbeddingTableError(
+                        f"{path}:{line_no}: expected {expected_dim} values, found {len(parts)}"
+                    )
+                try:
+                    vec = np.array([float(p) for p in parts])
+                except ValueError as exc:
+                    raise EmbeddingTableError(f"{path}:{line_no}: bad value: {exc}") from exc
+                if not np.isfinite(vec).all():
+                    raise EmbeddingTableError(f"{path}:{line_no}: non-finite value")
+                vec.flags.writeable = False
+                table[key] = vec
+    return TableEncoder(table, fallback, expected_dim, digest.hexdigest())
 
 
 class Encoders(NamedTuple):

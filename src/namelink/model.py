@@ -433,16 +433,15 @@ class CheckpointError(Exception):
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
-    adam_state: AdamState,
     class_index: Sequence[AuthorId],
     extra: dict | None = None,
 ) -> None:
-    """Persist parameters, optimizer state and the class mapping.
+    """Persist a model for prediction: its parameters, topology and classes.
 
-    The container is an npz archive: a JSON metadata blob plus the raw
-    parameter and moment arrays in their own dtype (float32 or float64), so
-    reloads are bit-exact.  Like np.savez, it appends .npz to a
-    ``path`` without it; the file is replaced only once fully written.
+    The container is an npz archive of two members, a JSON ``meta`` blob and
+    the raw ``params`` vector in its own dtype (float32 or float64), so
+    reloads are bit-exact.  Like np.savez, it appends .npz to a ``path``
+    without it; the file is replaced only once fully written.
     """
     if len(class_index) != params.config.n_classes:
         raise CheckpointError(
@@ -451,37 +450,30 @@ def save_checkpoint(
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": params.config.to_dict(),
-        "adam": {
-            "t": adam_state.t,
-            "lr": adam_state.lr,
-            "beta1": adam_state.beta1,
-            "beta2": adam_state.beta2,
-            "eps": adam_state.eps,
-        },
         "classes": [[a.base_name, a.homonym_index] for a in class_index],
         "extra": extra or {},
     }
     meta_bytes = np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8)
     path = str(path)
     with atomic_path(path if path.endswith(".npz") else path + ".npz") as tmp:
-        np.savez(tmp, meta=meta_bytes, params=params.flat, adam_m=adam_state.m, adam_v=adam_state.v)
+        np.savez(tmp, meta=meta_bytes, params=params.flat)
 
 
 @dataclass
 class CheckpointBundle:
     params: ModelParams
-    adam_state: AdamState
     class_index: list[AuthorId]
     extra: dict = field(default_factory=dict)
 
 
-def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> CheckpointBundle:
-    """Reload a checkpoint with the dtype it was saved in; optionally
-    validate the class count against the block it is about to serve."""
+def load_checkpoint(path: str | Path) -> CheckpointBundle:
+    """Reload a checkpoint's model in the dtype it was saved in.  Members
+    other than ``meta`` and ``params`` are ignored, so older files that also
+    hold the Adam moments (``adam_m``, ``adam_v``, ``meta.adam``) load too."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-            flat, adam_m, adam_v = (archive[key] for key in ("params", "adam_m", "adam_v"))
+            flat = archive["params"]
     # np.load raises EOFError on an empty file
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
@@ -489,8 +481,6 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
         raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
     try:
         stored = dict(meta["config"])
-        a = meta["adam"]
-        adam_state = AdamState(t=a["t"], lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"], eps=a["eps"], m=adam_m, v=adam_v)
         classes = [AuthorId(base, idx) for base, idx in meta["classes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad metadata in checkpoint {path}: missing or malformed {exc}") from exc
@@ -501,20 +491,10 @@ def load_checkpoint(path: str | Path, expected_classes: int | None = None) -> Ch
         config = ModelConfig.from_dict(stored)
     except (TypeError, KeyError, ValueError) as exc:
         raise CheckpointError(f"bad model config in checkpoint {path}: {exc}") from exc
-    if expected_classes is not None and config.n_classes != expected_classes:
+    if flat.dtype not in FLOAT_DTYPES:
+        raise CheckpointError(f"checkpoint {path}: params are {flat.dtype}; they must be float32 or float64")
+    if flat.shape != (config.n_params,):
         raise CheckpointError(
-            f"checkpoint has {config.n_classes} classes, expected {expected_classes}"
+            f"checkpoint {path}: params has shape {flat.shape}, the model needs ({config.n_params},)"
         )
-    dtypes = {flat.dtype, adam_m.dtype, adam_v.dtype}
-    if len(dtypes) != 1 or flat.dtype not in FLOAT_DTYPES:
-        raise CheckpointError(
-            f"checkpoint {path}: params/adam_m/adam_v are {flat.dtype}/{adam_m.dtype}/{adam_v.dtype}; "
-            "they must share one dtype, float32 or float64"
-        )
-    for key, array in (("params", flat), ("adam_m", adam_m), ("adam_v", adam_v)):
-        if array.shape != (config.n_params,):
-            raise CheckpointError(
-                f"checkpoint {path}: {key} has shape {array.shape}, the model needs ({config.n_params},)"
-            )
-    params = ModelParams(config, flat)
-    return CheckpointBundle(params=params, adam_state=adam_state, class_index=classes, extra=meta.get("extra", {}))
+    return CheckpointBundle(params=ModelParams(config, flat), class_index=classes, extra=meta.get("extra", {}))

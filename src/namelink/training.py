@@ -29,7 +29,6 @@ import numpy as np
 from .blocking import Block, BlockEntry
 from .encoders import Encoders, name_input, text_input
 from .model import (
-    AdamState,
     ModelConfig,
     ModelParams,
     adam_step,
@@ -278,7 +277,6 @@ class EpochStats:
 class TrainResult:
     best_params: ModelParams
     final_params: ModelParams
-    best_adam_state: AdamState
     best_epoch: int
     history: list[EpochStats]
     stopped_early: bool
@@ -319,13 +317,6 @@ def _evaluate_bank(params: ModelParams, bank: SampleBank, batch_size: int = 1024
     return total_loss / n, total_correct / n
 
 
-def _copy_adam(state: AdamState) -> AdamState:
-    return AdamState(
-        t=state.t, lr=state.lr, beta1=state.beta1, beta2=state.beta2, eps=state.eps,
-        m=state.m.copy(), v=state.v.copy(),
-    )
-
-
 def train_block_model(
     block: Block,
     split: SplitAssignment,
@@ -333,7 +324,7 @@ def train_block_model(
     config: TrainRunConfig | None = None,
     model_config: ModelConfig | None = None,
 ) -> TrainResult:
-    """Train one block's classifier to convergence and return the best state.
+    """Train one block's classifier to convergence and return its best parameters.
 
     All randomness (weight init, j draws, batch shuffles, dropout) derives
     from ``config.seed`` through split substreams, so a rerun with the same
@@ -391,7 +382,6 @@ def train_block_model(
     monitor = TrainingMonitor(config.patience)
     history: list[EpochStats] = []
     best_params = params.copy()
-    best_adam = _copy_adam(adam)
     stopped_early = False
     epoch_seconds: list[float] = []
     n = bank.n_samples
@@ -415,7 +405,6 @@ def train_block_model(
         checkpointed = monitor.observe(epoch, val_loss, val_accuracy)
         if checkpointed:
             best_params = params.copy()
-            best_adam = _copy_adam(adam)
         history.append(EpochStats(epoch, epoch_loss / n, val_loss, val_accuracy, checkpointed))
         epoch_seconds.append(time.perf_counter() - started)
         if monitor.should_stop:
@@ -425,7 +414,6 @@ def train_block_model(
     return TrainResult(
         best_params=best_params,
         final_params=params,
-        best_adam_state=best_adam,
         best_epoch=monitor.best_epoch,
         history=history,
         stopped_early=stopped_early,

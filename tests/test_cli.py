@@ -9,7 +9,7 @@ import pytest
 import namelink.cli
 import namelink.training
 from namelink.cli import build_parser, main
-from namelink.model import CheckpointError, load_checkpoint, save_checkpoint
+from namelink.model import load_checkpoint, save_checkpoint
 from namelink.records import AuthorId
 from namelink.store import load_corpus, write_corpus_store
 from namelink.synth import SynthConfig, gen_synth
@@ -22,7 +22,7 @@ def resave(src, dst, class_index=None, drop_extra=()):
     """Copy a checkpoint, optionally with other classes or fewer extra keys."""
     bundle = load_checkpoint(src)
     extra = {k: v for k, v in bundle.extra.items() if k not in drop_extra}
-    save_checkpoint(dst, bundle.params, bundle.adam_state, class_index or bundle.class_index, extra)
+    save_checkpoint(dst, bundle.params, class_index or bundle.class_index, extra)
     return str(dst)
 
 
@@ -665,28 +665,7 @@ class TestEvaluate:
         assert with_tables["name_table_misses"] > 0
         assert 0 < with_tables["text_table_misses"] <= 2 * 6
 
-    @pytest.mark.parametrize("key", ["adam_m", "adam_v"])
-    def test_checkpoint_moments_shorter_than_params(self, ws, tmp_path, capsys, key):
-        with np.load(ws["ckpt"]) as archive:
-            arrays = dict(archive)
-        arrays[key] = arrays[key][:-5]
-        ckpt = tmp_path / "cut.npz"
-        np.savez(ckpt, **arrays)
-        with pytest.raises(CheckpointError, match=key):
-            load_checkpoint(ckpt)
-        manifest = tmp_path / "m"
-        rc = main(
-            [
-                "evaluate",
-                "--corpus", ws["corpus"],
-                "--block", "Y Chen",
-                "--checkpoint", str(ckpt),
-                "--manifest", str(manifest),
-            ]
-        )
-        assert_operational_error(rc, capsys, manifest)
-
-    @pytest.mark.parametrize("key", ["config", "adam", "classes"])
+    @pytest.mark.parametrize("key", ["config", "classes"])
     def test_checkpoint_metadata_missing_key(self, ws, tmp_path, capsys, key):
         with np.load(ws["ckpt"]) as archive:
             arrays = dict(archive)
@@ -706,6 +685,79 @@ class TestEvaluate:
             ]
         )
         assert_operational_error(rc, capsys, manifest)
+
+    def test_checkpoint_of_another_block_rejected(self, ws, tmp_path, capsys):
+        other = tmp_path / "acoa.npz"
+        argv = ["--corpus", ws["corpus"], "--manifest", str(tmp_path / "train.ndjson")]
+        assert main(["train", *argv, "--block", "Acoa Leea", "--out", str(other), "--max-epochs", "1"]) == 0
+        capsys.readouterr()
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "evaluate",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--checkpoint", str(other),
+                "--manifest", str(manifest),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "has 1 classes" in err and "has 3" in err
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
+
+    def test_checkpoint_with_other_classes_rejected(self, ws, tmp_path, capsys):
+        others = [AuthorId("Other Person", k) for k in range(3)]
+        ckpt = resave(ws["ckpt"], tmp_path / "other.npz", class_index=others)
+        manifest = tmp_path / "m"
+        rc = main(
+            ["evaluate", "--corpus", ws["corpus"], "--block", "Y Chen", "--checkpoint", ckpt, "--manifest", str(manifest)]
+        )
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "or their order" in err
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
+
+
+class TestCheckpointCompatibility:
+    def legacy_checkpoint(self, src, dst):
+        """``src`` rewritten in the older layout that also stored the Adam
+        moments: ``adam_m``, ``adam_v`` and ``meta.adam``."""
+        with np.load(src) as archive:
+            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+            params = archive["params"]
+        meta["adam"] = {"t": 12, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+        rng = np.random.default_rng(0)
+        np.savez(
+            dst,
+            meta=np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8),
+            params=params,
+            adam_m=rng.normal(size=params.size).astype(params.dtype),
+            adam_v=rng.random(params.size).astype(params.dtype),
+        )
+        return str(dst)
+
+    def test_checkpoint_with_adam_moments_scores_like_its_resave(self, ws, tmp_path, capsys):
+        legacy = self.legacy_checkpoint(ws["ckpt"], tmp_path / "legacy.npz")
+        with np.load(legacy) as archive:
+            assert {"adam_m", "adam_v"} <= set(archive.files)
+        resaved = resave(legacy, tmp_path / "resaved.npz")
+        with np.load(resaved) as archive:
+            assert set(archive.files) == {"meta", "params"}
+        manifest = str(tmp_path / "m")
+        outputs = []
+        for ckpt in (legacy, resaved):
+            runs = (
+                ["evaluate", "--corpus", ws["corpus"], "--block", "Y Chen", "--checkpoint", ckpt],
+                ["predict", "--corpus", ws["corpus"], "--name", "Y Chen", "--record-key", "synth/a/0000",
+                 "--checkpoint", ckpt],
+            )
+            for argv in runs:
+                assert main(argv + ["--manifest", manifest]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "MiAF1 (All)" in outputs[0] and "chosen\t" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestPredict:
@@ -911,6 +963,15 @@ class TestConfigFile:
         assert rc == 1
         assert "not a flag" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_value_of_wrong_type_names_file_key_and_value(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "stats.cfg"
+        cfg.write_text("seed=abc\n", "utf-8")
+        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg), "--manifest", str(tmp_path / "m")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert str(cfg) in err and "'seed'" in err and "'abc'" in err
 
     def test_malformed_line_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,28 @@ class TestTableEncoder:
         message = str(err.value)
         assert fragment in message
         assert str(path) in message
+
+    def test_crlf_and_lone_cr_end_lines(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(b"foo\t1 2\r\n\r\nbar\t3 4\rbaz\t5 6")
+        enc = load_embedding_table(path, 2, HashingNameEncoder())
+        for key, vec in (("foo", [1.0, 2.0]), ("bar", [3.0, 4.0]), ("baz", [5.0, 6.0])):
+            np.testing.assert_array_equal(enc(key), vec)
+        assert enc.miss_count == 0
+
+    def test_sha256_is_the_file_digest(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(b"foo\t1 2\r\n\nbar\t3 4\n")
+        enc = load_embedding_table(path, 2, HashingNameEncoder())
+        assert enc.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_line_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "table.tsv"
+        path.write_bytes(b"ab\xff\t1 2")
+        with pytest.raises(EmbeddingTableError) as err:
+            load_embedding_table(path, 2, HashingNameEncoder())
+        assert f"{path}:1:" in str(err.value)
+        assert "UTF-8" in str(err.value)
 
     def test_duplicate_error_reports_second_occurrence(self, tmp_path):
         path = tmp_path / "table.tsv"

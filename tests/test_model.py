@@ -523,35 +523,28 @@ class TestClassWeights:
 
 
 class TestCheckpoint:
-    def make_trained(self, seed=20):
-        params = init_model(ModelConfig(**{**TINY.to_dict(), "seed": seed}))
-        state = init_adam_state(params, lr=2e-3)
-        rng = np.random.default_rng(seed)
-        for _ in range(3):
-            adam_step(params, rng.normal(size=params.n_params), state)
-        return params, state
+    def make_params(self, seed=20):
+        """A TINY model whose weights and biases are all nonzero."""
+        config = ModelConfig(**{**TINY.to_dict(), "seed": seed})
+        return ModelParams(config, np.random.default_rng(seed).normal(size=config.n_params))
 
     def classes(self):
         return [AuthorId("Wei Wang", 0), AuthorId("Wei Wang", 1), AuthorId("W Wang", 0)]
 
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "model.npz"
-        params, state = self.make_trained()
-        save_checkpoint(path, params, state, self.classes(), extra={"note": "x"})
+        params = self.make_params()
+        save_checkpoint(path, params, self.classes(), extra={"note": "x"})
         bundle = load_checkpoint(path)
         assert np.array_equal(bundle.params.flat, params.flat)
-        assert np.array_equal(bundle.adam_state.m, state.m)
-        assert np.array_equal(bundle.adam_state.v, state.v)
-        assert bundle.adam_state.t == state.t
-        assert bundle.adam_state.lr == state.lr
         assert bundle.params.config == params.config
         assert bundle.class_index == self.classes()
         assert bundle.extra == {"note": "x"}
 
     def test_reload_preserves_inference(self, tmp_path):
         path = tmp_path / "model.npz"
-        params, state = self.make_trained(seed=21)
-        save_checkpoint(path, params, state, self.classes())
+        params = self.make_params(seed=21)
+        save_checkpoint(path, params, self.classes())
         bundle = load_checkpoint(path)
         x1, x2 = random_inputs(params.config, 11, seed=22)
         a, _ = forward_batch(params, x1, x2)
@@ -560,12 +553,9 @@ class TestCheckpoint:
 
     def test_class_count_mismatch(self, tmp_path):
         path = tmp_path / "model.npz"
-        params, state = self.make_trained()
         with pytest.raises(CheckpointError):
-            save_checkpoint(path, params, state, self.classes()[:2])
-        save_checkpoint(path, params, state, self.classes())
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path, expected_classes=5)
+            save_checkpoint(path, self.make_params(), self.classes()[:2])
+        assert not path.exists()
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.npz"
@@ -581,8 +571,7 @@ class TestCheckpoint:
         """A checkpoint cut anywhere, down to an empty file, is refused as a
         checkpoint error rather than whatever numpy raises."""
         path = tmp_path / "model.npz"
-        params, state = self.make_trained()
-        save_checkpoint(path, params, state, self.classes())
+        save_checkpoint(path, self.make_params(), self.classes())
         data = path.read_bytes()
         cut = tmp_path / "cut.npz"
         for length in range(len(data)):
@@ -593,8 +582,8 @@ class TestCheckpoint:
     def saved_with_config(self, tmp_path, **changes):
         """A checkpoint whose stored model config is edited after saving."""
         path = tmp_path / "model.npz"
-        params, state = self.make_trained()
-        save_checkpoint(path, params, state, self.classes())
+        params = self.make_params()
+        save_checkpoint(path, params, self.classes())
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -622,8 +611,7 @@ class TestCheckpoint:
     def saved_arrays(self, tmp_path):
         """A saved checkpoint's path and its stored arrays, to rewrite."""
         path = tmp_path / "model.npz"
-        params, state = self.make_trained()
-        save_checkpoint(path, params, state, self.classes())
+        save_checkpoint(path, self.make_params(), self.classes())
         with np.load(path) as archive:
             return path, {key: archive[key] for key in archive.files}
 
@@ -633,12 +621,25 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="float32 or float64"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("key", ["params", "adam_m", "adam_v"])
+    @pytest.mark.parametrize("key", ["params"])
     def test_mixed_dtypes_rejected(self, tmp_path, key):
+        """A params vector in neither model precision is refused, an
+        integer one included."""
         path, stored = self.saved_arrays(tmp_path)
-        np.savez(path, **{**stored, key: stored[key].astype(np.float32)})
-        with pytest.raises(CheckpointError, match="share one dtype"):
+        np.savez(path, **{**stored, key: stored[key].astype(np.int64)})
+        with pytest.raises(CheckpointError, match="float32 or float64"):
             load_checkpoint(path)
+
+    def test_params_shorter_than_topology_rejected(self, tmp_path):
+        path, stored = self.saved_arrays(tmp_path)
+        np.savez(path, **{**stored, "params": stored["params"][:-5]})
+        with pytest.raises(CheckpointError, match="params has shape"):
+            load_checkpoint(path)
+
+    def test_saved_members_are_meta_and_params(self, tmp_path):
+        path, stored = self.saved_arrays(tmp_path)
+        assert set(stored) == {"meta", "params"}
+        assert set(json.loads(bytes(stored["meta"]).decode("utf-8"))) == {"format", "config", "classes", "extra"}
 
 
 TOPOLOGY = st.fixed_dictionaries(
@@ -659,23 +660,17 @@ class TestCheckpointProperties:
     @settings(max_examples=30, deadline=None)
     def test_round_trip_keeps_bytes_dtype_and_class_order(self, topology, dtype, seed):
         config = ModelConfig(**topology)
-        params = ModelParams(config, init_model(config).flat.astype(dtype))
-        state = init_adam_state(params, lr=2e-3)
         rng = np.random.default_rng(seed)
-        for _ in range(2):
-            adam_step(params, rng.normal(size=params.n_params).astype(dtype), state)
+        params = ModelParams(config, rng.normal(size=config.n_params).astype(dtype))
         classes = [AuthorId(f"Author {k}", int(h)) for k, h in enumerate(rng.integers(0, 3, size=config.n_classes))]
         classes = [classes[i] for i in rng.permutation(config.n_classes)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.npz"
-            save_checkpoint(path, params, state, classes)
+            save_checkpoint(path, params, classes)
             bundle = load_checkpoint(path)
-        pairs = ((bundle.params.flat, params.flat), (bundle.adam_state.m, state.m), (bundle.adam_state.v, state.v))
-        for got, want in pairs:
-            assert got.dtype == np.dtype(dtype)
-            assert got.tobytes() == want.tobytes()
+        assert bundle.params.flat.dtype == np.dtype(dtype)
+        assert bundle.params.flat.tobytes() == params.flat.tobytes()
         assert bundle.params.config == config
-        assert bundle.adam_state.t == state.t
         assert bundle.class_index == classes
 
 
