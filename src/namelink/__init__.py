@@ -39,9 +39,7 @@ from .names import (
     atomic_variate,
     build_author_registry,
     name_forms,
-    name_variates,
     normalize_name,
-    resolve_name,
 )
 from .predict import Prediction, PredictionError, Route, RouteKind, predict_author, route_name
 from .records import AuthorId, AuthorMention, BibRecord, parse_author_id

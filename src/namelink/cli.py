@@ -306,7 +306,7 @@ def _cmd_predict(args) -> dict:
         return {"route": "UNIQUE", "name": args.name, "author": route.author.render()}
 
     print(
-        f"AMBIGUOUS\t{args.name}\t{route.candidate_count} candidates"
+        f"AMBIGUOUS\t{args.name}\t{len(route.candidates)} candidates"
         f"\tblock {registry.display_variate(route.variate_key)}"
     )
     if not args.checkpoint:
@@ -315,8 +315,8 @@ def _cmd_predict(args) -> dict:
         )
     if not args.record_key:
         raise PredictionError("an ambiguous name needs the record to disambiguate (--record-key)")
-    by_key = {r.record_key: r for r in corpus}
-    record = by_key.get(args.record_key)
+    # stores are written without duplicate keys, so the first match is the only one
+    record = next((r for r in corpus if r.record_key == args.record_key), None)
     if record is None:
         raise PredictionError(f"record key {args.record_key!r} not in corpus")
     bundle = load_checkpoint(args.checkpoint)
@@ -509,8 +509,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 def _parse_config_file(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = line.strip()
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")

@@ -81,12 +81,8 @@ class HashingNameEncoder(_CachedEncoder):
 
     def _encode(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
-        words = text.lower().split()
-        if not words:
-            _finalize(vec)
-            return vec
         counts: dict[str, int] = {}
-        for word in words:
+        for word in text.lower().split():
             marked = f"^{word}$"
             for n in (1, 2, 3):
                 for i in range(len(marked) - n + 1):

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -50,6 +50,10 @@ FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 # stay in a core's L2 cache between its ufunc passes (5 x 256 KiB in float64,
 # half that in float32)
 ADAM_CHUNK = 32768
+# Adam's moment decay rates and the term that keeps its denominator off zero
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,25 +105,6 @@ class ModelConfig:
     def n_params(self) -> int:
         return sum(i * o + o for i, o in self.layer_shapes())
 
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "input1_dim": self.input1_dim,
-            "input2_dim": self.input2_dim,
-            "branch1_hidden": list(self.branch1_hidden),
-            "branch2_hidden": list(self.branch2_hidden),
-            "merged_hidden": list(self.merged_hidden),
-            "dropout_rate": self.dropout_rate,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ModelConfig":
-        payload = dict(payload)
-        for key in ("branch1_hidden", "branch2_hidden", "merged_hidden"):
-            payload[key] = tuple(payload[key])
-        return cls(**payload)
-
 
 def _layer_views(flat: np.ndarray, config: ModelConfig) -> tuple[list[np.ndarray], list[np.ndarray]]:
     weights: list[np.ndarray] = []
@@ -164,12 +149,11 @@ def init_model(config: ModelConfig) -> ModelParams:
     return params
 
 
-def split_layers(params: ModelParams):
+def split_layers(config: ModelConfig, w: list[np.ndarray], b: list[np.ndarray]):
     """The (weights, biases) of branch one, branch two and the merged stack,
-    then the output layer's weight and bias."""
-    cfg = params.config
-    n1, n2, nm = len(cfg.branch1_hidden), len(cfg.branch2_hidden), len(cfg.merged_hidden)
-    w, b = params.weights, params.biases
+    then the output layer's weight and bias, from per-layer lists in
+    ``layer_shapes`` order: a model's parameters or its gradient."""
+    n1, n2, nm = len(config.branch1_hidden), len(config.branch2_hidden), len(config.merged_hidden)
     return (
         (w[:n1], b[:n1]),
         (w[n1 : n1 + n2], b[n1 : n1 + n2]),
@@ -229,7 +213,7 @@ def forward_batch(
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
-    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(params)
+    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(cfg, params.weights, params.biases)
 
     b1_acts, b1_zs = run_stack(x1, w1s, b1s)
     b2_acts, b2_zs = run_stack(x2, w2s, b2s)
@@ -299,15 +283,8 @@ def loss_and_gradients_batch(
     d_logits *= (sample_weights / batch)[:, None]
 
     grad_flat = np.empty(cfg.n_params, dtype=params.flat.dtype)  # every slot is written below
-    g_weights, g_biases = _layer_views(grad_flat, cfg)
-    n1, n2 = len(cfg.branch1_hidden), len(cfg.branch2_hidden)
-    nm = len(cfg.merged_hidden)
-    gw1, gw2 = g_weights[:n1], g_weights[n1 : n1 + n2]
-    gb1, gb2 = g_biases[:n1], g_biases[n1 : n1 + n2]
-    gwm, gbm = g_weights[n1 + n2 : n1 + n2 + nm], g_biases[n1 + n2 : n1 + n2 + nm]
-    gw_out, gb_out = g_weights[-1], g_biases[-1]
-
-    (w1s, _), (w2s, _), (wms, _), (w_out, _) = split_layers(params)
+    (gw1, gb1), (gw2, gb2), (gwm, gbm), (gw_out, gb_out) = split_layers(cfg, *_layer_views(grad_flat, cfg))
+    (w1s, _), (w2s, _), (wms, _), (w_out, _) = split_layers(cfg, params.weights, params.biases)
 
     np.matmul(cache["last_hidden"].T, d_logits, out=gw_out)
     np.sum(d_logits, axis=0, out=gb_out)
@@ -339,22 +316,18 @@ def loss_and_gradients_batch(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter; the betas and
+    eps are the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
 
     t: int
     lr: float
-    beta1: float
-    beta2: float
-    eps: float
     m: np.ndarray
     v: np.ndarray
 
 
-def init_adam_state(
-    params: ModelParams, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> AdamState:
+def init_adam_state(params: ModelParams, lr: float = 1e-3) -> AdamState:
     n, dtype = params.n_params, params.flat.dtype
-    return AdamState(t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps, m=np.zeros(n, dtype), v=np.zeros(n, dtype))
+    return AdamState(t=0, lr=lr, m=np.zeros(n, dtype), v=np.zeros(n, dtype))
 
 
 def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> tuple[ModelParams, AdamState]:
@@ -385,7 +358,7 @@ def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> t
     if not np.isfinite(grad_flat).all():
         raise FloatingPointError("non-finite gradient")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
     scratch = np.empty(min(ADAM_CHUNK, grad_flat.size), dtype)
     for lo in range(0, grad_flat.size, ADAM_CHUNK):
@@ -400,7 +373,7 @@ def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> t
         v += buf
         np.divide(v, c2, out=buf)
         np.sqrt(buf, out=buf)
-        buf += state.eps
+        buf += ADAM_EPS
         np.divide(m, c1, out=g)
         g /= buf
         g *= state.lr
@@ -449,7 +422,7 @@ def save_checkpoint(
         )
     meta = {
         "format": CHECKPOINT_FORMAT,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "classes": [[a.base_name, a.homonym_index] for a in class_index],
         "extra": extra or {},
     }
@@ -487,9 +460,12 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     # configs written before branch dropout was removed carry it, always off
     if stored.pop("dropout_branches", False) is not False:
         raise CheckpointError(f"checkpoint {path} enables branch dropout, which is not supported")
+    missing = [f.name for f in fields(ModelConfig) if f.name not in stored]
+    if missing:
+        raise CheckpointError(f"bad model config in checkpoint {path}: missing {', '.join(missing)}")
     try:
-        config = ModelConfig.from_dict(stored)
-    except (TypeError, KeyError, ValueError) as exc:
+        config = ModelConfig(**stored)
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"bad model config in checkpoint {path}: {exc}") from exc
     if flat.dtype not in FLOAT_DTYPES:
         raise CheckpointError(f"checkpoint {path}: params are {flat.dtype}; they must be float32 or float64")

@@ -2,9 +2,9 @@
 
 Every author is reachable under two name variates: the full normalized name
 and the atomic variate (first-name initial plus last name).  The registry
-indexes both and answers "how many known authors does this name string
-correspond to" queries, which drive routing: 0 means a new author, 1 means a
-direct assignment, and more than 1 means a block model has to decide.
+indexes both, so ``predict.route_name`` can tell how many known authors a
+name string corresponds to: 0 means a new author, 1 means a direct
+assignment, and more than 1 means a block model has to decide.
 """
 
 from __future__ import annotations
@@ -82,15 +82,6 @@ def atomic_variate(name: NormalizedName) -> AtomicVariate:
     return AtomicVariate(initial=name.tokens[0][0].upper(), last=name.tokens[-1])
 
 
-def name_variates(name: NormalizedName) -> set[str]:
-    """The rendered full name and its atomic variate; one element when they
-    coincide (e.g. the name is already of initial-plus-last shape)."""
-    by_key: dict[str, str] = {}
-    for display in (name.render(), atomic_variate(name).render()):
-        by_key.setdefault(display.casefold(), display)
-    return set(by_key.values())
-
-
 @dataclass(frozen=True)
 class NameForms:
     """The two renderings of one name, plus the matching target-first-name
@@ -119,14 +110,6 @@ class VariateEntry:
     authors: set[AuthorId] = field(default_factory=set)
 
 
-@dataclass(frozen=True)
-class RAResult:
-    """Correspondence frequency of a name: how many authors it can denote."""
-
-    count: int
-    candidates: frozenset[AuthorId]
-
-
 class AuthorRegistry:
     """Index from rendered name variates (case-folded) to author identities.
 
@@ -136,7 +119,7 @@ class AuthorRegistry:
 
     def __init__(self):
         self.by_variate: dict[str, VariateEntry] = {}
-        self.authors: dict[AuthorId, NormalizedName] = {}
+        self.authors: set[AuthorId] = set()
         self._full_keys: set[str] = set()
         self._atomic_keys: set[str] = set()
 
@@ -160,7 +143,7 @@ class AuthorRegistry:
         if author in self.authors:
             return
         name = normalize_name(author.base_name)
-        self.authors[author] = name
+        self.authors.add(author)
         atom = atomic_variate(name)
         self._full_keys.add(name.key())
         self._atomic_keys.add(atom.key())
@@ -175,13 +158,6 @@ class AuthorRegistry:
     def display_variate(self, key: str) -> str:
         return self.by_variate[key.casefold()].display
 
-    def export_lines(self) -> Iterable[str]:
-        """Inspection dump: one "variate<TAB>id; id; …" line per variate."""
-        for key in sorted(self.by_variate):
-            entry = self.by_variate[key]
-            ids = "; ".join(a.render() for a in sorted(entry.authors))
-            yield f"{entry.display}\t{ids}"
-
 
 def build_author_registry(corpus: Iterable[BibRecord]) -> AuthorRegistry:
     registry = AuthorRegistry()
@@ -189,14 +165,3 @@ def build_author_registry(corpus: Iterable[BibRecord]) -> AuthorRegistry:
         registry.add_record(record)
     return registry
 
-
-def resolve_name(registry: AuthorRegistry, raw_name: str) -> RAResult:
-    """Count the registry authors whose variate set contains this name."""
-    try:
-        name = normalize_name(raw_name)
-    except ValueError:
-        return RAResult(0, frozenset())
-    entry = registry.by_variate.get(name.key())
-    if entry is None:
-        return RAResult(0, frozenset())
-    return RAResult(len(entry.authors), frozenset(entry.authors))

@@ -1,7 +1,7 @@
 """Routing incoming names and predicting authors of ambiguous ones.
 
-A name is first resolved against the registry.  Zero matching authors means
-a new author, exactly one means a direct assignment, and more than one hands
+A name is first looked up in the registry.  Zero matching authors means a
+new author, exactly one means a direct assignment, and more than one hands
 the record to the block model of the name's atomic variate.  The model votes
 once per unordered pair of pool names (the record's authors plus the target
 name once more) and the per-pair probability vectors are aggregated, by sum
@@ -18,13 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 from .encoders import Encoders, text_input
 from .model import ModelParams, run_stack, softmax, split_layers
-from .names import AuthorRegistry, atomic_variate, name_forms, normalize_name, resolve_name
+from .names import AuthorRegistry, atomic_variate, name_forms, normalize_name
 from .records import AuthorId, BibRecord
 from .training import MODE_ANV, MODE_FULL
 
@@ -52,26 +51,25 @@ class Route:
     kind: RouteKind
     author: AuthorId | None = None
     variate_key: str | None = None
-    candidate_count: int = 0
     candidates: frozenset[AuthorId] = frozenset()
 
 
 def route_name(registry: AuthorRegistry, raw_name: str) -> Route:
-    """NEW when no registry author matches, UNIQUE with the matched author
-    when exactly one does, AMBIGUOUS with the block key otherwise."""
-    result = resolve_name(registry, raw_name)
-    if result.count == 0:
+    """NEW when no registry author matches the name's full or atomic variate
+    key, UNIQUE with the matched author when exactly one does, AMBIGUOUS with
+    the block key otherwise.  A name that normalizes to nothing is NEW."""
+    try:
+        name = normalize_name(raw_name)
+    except ValueError:
         return Route(RouteKind.NEW)
-    if result.count == 1:
-        (author,) = result.candidates
-        return Route(RouteKind.UNIQUE, author=author, candidate_count=1, candidates=result.candidates)
-    key = atomic_variate(normalize_name(raw_name)).key()
-    return Route(
-        RouteKind.AMBIGUOUS,
-        variate_key=key,
-        candidate_count=result.count,
-        candidates=result.candidates,
-    )
+    entry = registry.by_variate.get(name.key())
+    if entry is None:
+        return Route(RouteKind.NEW)
+    candidates = frozenset(entry.authors)
+    if len(candidates) == 1:
+        (author,) = candidates
+        return Route(RouteKind.UNIQUE, author=author, candidates=candidates)
+    return Route(RouteKind.AMBIGUOUS, variate_key=atomic_variate(name).key(), candidates=candidates)
 
 
 @dataclass
@@ -181,7 +179,7 @@ def forward_batched(
             f"first/pool/text shapes {first_vec.shape}/{pool_vecs.shape}/{text_row.shape} "
             f"do not match config dims {cfg.input1_dim}/{cfg.input2_dim}"
         )
-    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(params)
+    (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(cfg, params.weights, params.biases)
     # the layer that takes the concatenation: the first merged layer, or the output layer
     w_cat, b_cat = (wms[0], bms[0]) if wms else (w_out, b_out)
     split = cfg.branch1_hidden[-1] if cfg.branch1_hidden else cfg.input1_dim
@@ -211,8 +209,8 @@ def forward_batched(
     return probs
 
 
-def render_prediction(prediction: Prediction, top_k: int = 5) -> str:
-    """Structured text: target, pool, pair count, then top scores."""
+def render_prediction(prediction: Prediction) -> str:
+    """Structured text: target, pool, pair count, then the top five scores."""
     lines = [
         f"target\t{prediction.target_name}",
         f"mode\t{prediction.variate_mode}",
@@ -221,7 +219,7 @@ def render_prediction(prediction: Prediction, top_k: int = 5) -> str:
         f"aggregation\t{prediction.aggregation}",
     ]
     ordered_scores = np.sort(prediction.scores)[::-1]
-    for rank, (author, score) in enumerate(zip(prediction.ranked[:top_k], ordered_scores), start=1):
+    for rank, (author, score) in enumerate(zip(prediction.ranked[:5], ordered_scores), start=1):
         lines.append(f"rank {rank}\t{author.render()}\t{score:.6f}")
     lines.append(f"chosen\t{prediction.chosen.render()}")
     return "\n".join(lines)

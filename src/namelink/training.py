@@ -29,6 +29,7 @@ import numpy as np
 from .blocking import Block, BlockEntry
 from .encoders import Encoders, name_input, text_input
 from .model import (
+    LOG_FLOOR,
     ModelConfig,
     ModelParams,
     adam_step,
@@ -302,17 +303,21 @@ def history_lines(history: Iterable[EpochStats]) -> list[str]:
     ]
 
 
-def _evaluate_bank(params: ModelParams, bank: SampleBank, batch_size: int = 1024) -> tuple[float, float]:
+# rows per forward pass when a bank is scored
+EVAL_BATCH = 1024
+
+
+def _evaluate_bank(params: ModelParams, bank: SampleBank) -> tuple[float, float]:
     """Unweighted mean cross-entropy and argmax accuracy over a frozen bank."""
     total_loss = 0.0
     total_correct = 0
     n = bank.n_samples
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
+    for start in range(0, n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, n)
         probs, _ = forward_batch(params, bank.x1[start:stop], bank.x2[start:stop], mode="infer")
         labels = bank.labels[start:stop]
         p_true = probs[np.arange(stop - start), labels]
-        total_loss += float(-np.log(np.maximum(p_true, 1e-12)).sum())
+        total_loss += float(-np.log(np.maximum(p_true, LOG_FLOOR)).sum())
         total_correct += int((probs.argmax(axis=1) == labels).sum())
     return total_loss / n, total_correct / n
 

@@ -8,6 +8,7 @@ finite differences for gradients, pair enumeration for prediction scores,
 Counter arithmetic for metrics, and closed-form constants for the rest.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -179,7 +180,7 @@ def test_a3_pairwise_prediction_oracle():
         )
         enc = default_encoders()
         for trial in range(200):
-            params = init_model(ModelConfig(**{**config.to_dict(), "seed": trial % 17}))
+            params = init_model(dataclasses.replace(config, seed=trial % 17))
             omega = int(rng.integers(1, 6))
             record = make_record(rng, f"r{trial}", omega)
             target = random_name(rng)

@@ -980,6 +980,13 @@ class TestConfigFile:
         assert rc == 1
         assert "key=value" in capsys.readouterr().err
 
+    def test_line_not_utf8_names_file_and_line(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"# seed follows\nseed=\xff\n")
+        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg), "--manifest", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: not UTF-8: ")
+
 
 class TestManifest:
     def test_every_run_appends_one_entry(self, ws, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tempfile
@@ -9,7 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namelink.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_CHUNK,
+    ADAM_EPS,
     AdamState,
     CheckpointError,
     ModelConfig,
@@ -64,8 +68,10 @@ class TestConfig:
         assert cfg.n_params == (3 * 2 + 2) + (4 * 2 + 2) + (4 * 2 + 2)
 
     def test_round_trip_dict(self):
+        """The checkpoint codec: ``asdict`` through JSON and back through
+        the constructor, which turns the stored lists into tuples."""
         cfg = ModelConfig(n_classes=5, branch1_hidden=(10, 20), dropout_rate=0.25, seed=9)
-        assert ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert ModelConfig(**json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -287,7 +293,7 @@ class TestLossAndGradients:
         np.testing.assert_allclose(g32, g64, rtol=0, atol=tol * np.abs(g64).max())
 
     def test_train_mode_gradient_repeatable_under_seed(self):
-        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5})
+        cfg = dataclasses.replace(TINY, dropout_rate=0.5)
         params = init_model(cfg)
         x1, x2 = random_inputs(cfg, 6, seed=10)
         labels = np.zeros(6, dtype=int)
@@ -304,7 +310,7 @@ class TestLossAndGradients:
 
 class TestDropout:
     def test_inverted_masks_take_zero_or_scaled_values(self):
-        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5})
+        cfg = dataclasses.replace(TINY, dropout_rate=0.5)
         params = init_model(cfg)
         x1, x2 = random_inputs(cfg, 3, seed=11)
         _, cache = forward_batch(params, x1, x2, mode="train", rng=np.random.default_rng(0))
@@ -312,7 +318,7 @@ class TestDropout:
         assert set(np.unique(mask)) <= {0.0, 2.0}
 
     def test_infer_mode_ignores_dropout(self):
-        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.9})
+        cfg = dataclasses.replace(TINY, dropout_rate=0.9)
         params = init_model(cfg)
         x1, x2 = random_inputs(cfg, 5, seed=12)
         a, _ = forward_batch(params, x1, x2, mode="infer")
@@ -322,7 +328,7 @@ class TestDropout:
     def test_expected_value_matches_no_dropout(self):
         """Monte Carlo: mean of masked last-hidden activations over many
         draws approaches the unmasked value (inverted scaling)."""
-        cfg = ModelConfig(**{**TINY.to_dict(), "dropout_rate": 0.5})
+        cfg = dataclasses.replace(TINY, dropout_rate=0.5)
         params = init_model(cfg)
         rng = np.random.default_rng(13)
         x1 = rng.normal(size=(1, cfg.input1_dim))
@@ -367,7 +373,7 @@ class TestAdam:
         cfg = ModelConfig(
             n_classes=1, input1_dim=1, input2_dim=1, branch1_hidden=(), branch2_hidden=(), merged_hidden=()
         )
-        params = init_model(ModelConfig(**{**cfg.to_dict(), "seed": 17}))
+        params = init_model(dataclasses.replace(cfg, seed=17))
         state = init_adam_state(params, lr=0.1)
 
         theta = [float(v) for v in params.flat]
@@ -405,7 +411,7 @@ class TestAdam:
         assert cfg.n_params > ADAM_CHUNK and cfg.n_params % ADAM_CHUNK
         params = init_model(cfg)
         state = init_adam_state(params, lr=3e-3)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
         theta, m, v = params.flat.copy(), np.zeros(cfg.n_params), np.zeros(cfg.n_params)
         rng = np.random.default_rng(23)
         for t in range(1, 8):
@@ -480,7 +486,7 @@ class TestAdam:
         )
         params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
         state = init_adam_state(params, lr=3e-3)
-        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, state.lr
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
         theta, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
         rng = np.random.default_rng(24)
         for t in range(1, 8):
@@ -525,7 +531,7 @@ class TestClassWeights:
 class TestCheckpoint:
     def make_params(self, seed=20):
         """A TINY model whose weights and biases are all nonzero."""
-        config = ModelConfig(**{**TINY.to_dict(), "seed": seed})
+        config = dataclasses.replace(TINY, seed=seed)
         return ModelParams(config, np.random.default_rng(seed).normal(size=config.n_params))
 
     def classes(self):
@@ -608,6 +614,18 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="no_such_field"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("name", ["n_classes", "merged_hidden", "seed"])
+    def test_missing_config_field_rejected(self, tmp_path, name):
+        """A stored config without a field is refused, also one that the
+        config class has a default for."""
+        path, arrays = self.saved_arrays(tmp_path)
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        del meta["config"][name]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path, **arrays)
+        with pytest.raises(CheckpointError, match=f"missing {name}"):
+            load_checkpoint(path)
+
     def saved_arrays(self, tmp_path):
         """A saved checkpoint's path and its stored arrays, to rewrite."""
         path = tmp_path / "model.npz"
@@ -640,6 +658,15 @@ class TestCheckpoint:
         path, stored = self.saved_arrays(tmp_path)
         assert set(stored) == {"meta", "params"}
         assert set(json.loads(bytes(stored["meta"]).decode("utf-8"))) == {"format", "config", "classes", "extra"}
+
+    def test_stored_config_bytes(self, tmp_path):
+        """The config is stored as its fields in declaration order, layer
+        widths as JSON lists, so checkpoint metadata stays byte-stable."""
+        path, stored = self.saved_arrays(tmp_path)
+        assert (
+            '"config": {"n_classes": 3, "input1_dim": 6, "input2_dim": 4, "branch1_hidden": [5], '
+            '"branch2_hidden": [4], "merged_hidden": [5, 3], "dropout_rate": 0.0, "seed": 20}'
+        ) in bytes(stored["meta"]).decode("utf-8")
 
 
 TOPOLOGY = st.fixed_dictionaries(
@@ -678,7 +705,7 @@ class TestProperties:
     @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=8))
     @settings(max_examples=25, deadline=None)
     def test_probs_always_a_distribution(self, seed, batch):
-        params = init_model(ModelConfig(**{**TINY.to_dict(), "seed": seed % 1000}))
+        params = init_model(dataclasses.replace(TINY, seed=seed % 1000))
         x1, x2 = random_inputs(TINY, batch, seed=seed)
         probs, _ = forward_batch(params, 10.0 * x1, 10.0 * x2)
         assert np.isfinite(probs).all()

@@ -2,15 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from namelink.names import (
-    AuthorRegistry,
-    atomic_variate,
-    build_author_registry,
-    name_forms,
-    name_variates,
-    normalize_name,
-    resolve_name,
-)
+from namelink.names import AuthorRegistry, atomic_variate, build_author_registry, name_forms, normalize_name
+from namelink.predict import RouteKind, route_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 
 
@@ -72,10 +65,12 @@ class TestAtomicVariate:
         assert atomic_variate(normalize_name("Madonna")).render() == "M Madonna"
 
     def test_variate_set_of_full_name(self):
-        assert name_variates(normalize_name("Lei Wang")) == {"Lei Wang", "L Wang"}
+        reg = build_author_registry([record("k", "Lei Wang")])
+        assert {e.display for e in reg.by_variate.values()} == {"Lei Wang", "L Wang"}
 
     def test_variate_set_collapses_when_already_atomic(self):
-        assert name_variates(normalize_name("L Wang")) == {"L Wang"}
+        reg = build_author_registry([record("k", "L Wang")])
+        assert {e.display for e in reg.by_variate.values()} == {"L Wang"}
 
     def test_name_forms_columns(self):
         f = name_forms(normalize_name("Lei Wang"))
@@ -101,28 +96,28 @@ class TestRegistry:
 
     def test_resolve_full_name_unique(self):
         reg = self.build()
-        res = resolve_name(reg, "Lei Wang")
-        assert res.count == 1
-        assert res.candidates == frozenset({AuthorId("Lei Wang", 0)})
+        route = route_name(reg, "Lei Wang")
+        assert route.kind is RouteKind.UNIQUE
+        assert route.candidates == frozenset({AuthorId("Lei Wang", 0)})
 
     def test_resolve_atomic_ambiguous(self):
         reg = self.build()
-        assert resolve_name(reg, "L Wang").count == 2
+        assert len(route_name(reg, "L Wang").candidates) == 2
 
     def test_resolve_shared_full_name(self):
         reg = self.build()
-        res = resolve_name(reg, "Bing Li")
-        assert res.count == 2
-        assert res.candidates == frozenset({AuthorId("Bing Li", 1), AuthorId("Bing Li", 2)})
+        route = route_name(reg, "Bing Li")
+        assert route.kind is RouteKind.AMBIGUOUS
+        assert route.candidates == frozenset({AuthorId("Bing Li", 1), AuthorId("Bing Li", 2)})
 
     def test_resolve_unknown(self):
         reg = self.build()
-        assert resolve_name(reg, "Nadia Arbach").count == 0
-        assert resolve_name(reg, "???").count == 0
+        assert route_name(reg, "Nadia Arbach").kind is RouteKind.NEW
+        assert route_name(reg, "???").kind is RouteKind.NEW
 
     def test_resolution_is_case_insensitive(self):
         reg = self.build()
-        assert resolve_name(reg, "lei wang").count == 1
+        assert route_name(reg, "lei wang").candidates == frozenset({AuthorId("Lei Wang", 0)})
 
     def test_display_variate_keeps_first_seen_casing(self):
         reg = self.build()
@@ -131,13 +126,6 @@ class TestRegistry:
     def test_atomic_keys(self):
         reg = self.build()
         assert reg.atomic_keys() == {"l wang", "b li", "m madonna"}
-
-    def test_export_lines_are_sorted_and_tab_separated(self):
-        reg = self.build()
-        lines = list(reg.export_lines())
-        assert all("\t" in line for line in lines)
-        keys = [line.split("\t")[0].casefold() for line in lines]
-        assert keys == sorted(keys)
 
     def test_registry_idempotent_under_repeat(self):
         corpus = [record("k1", "Lei Wang"), record("k2", "Lei Wang")]

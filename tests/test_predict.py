@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from namelink import predict
 from namelink.encoders import default_encoders, name_input, text_input
@@ -14,7 +17,7 @@ from namelink.model import (
     save_checkpoint,
     softmax,
 )
-from namelink.names import build_author_registry, name_forms, normalize_name
+from namelink.names import atomic_variate, build_author_registry, name_forms, normalize_name
 from namelink.predict import (
     PredictionError,
     Route,
@@ -56,7 +59,7 @@ class TestRouting:
         route = route_name(registry, "Completely Unknown")
         assert route.kind is RouteKind.NEW
         assert route.author is None
-        assert route.candidate_count == 0
+        assert route.candidates == frozenset()
 
     def test_single_candidate_is_unique(self, registry):
         route = route_name(registry, "Solo Person")
@@ -72,14 +75,14 @@ class TestRouting:
         route = route_name(registry, "Y Chen")
         assert route.kind is RouteKind.AMBIGUOUS
         assert route.variate_key == "y chen"
-        assert route.candidate_count == 2
+        assert len(route.candidates) == 2
         assert {a.base_name for a in route.candidates} == {"Yan Chen", "Yu Chen"}
 
     def test_homonym_full_name_is_ambiguous(self, registry):
         route = route_name(registry, "Bing Li")
         assert route.kind is RouteKind.AMBIGUOUS
         assert route.variate_key == "b li"
-        assert route.candidate_count == 2
+        assert len(route.candidates) == 2
         assert {a.homonym_index for a in route.candidates} == {1, 2}
 
     def test_case_folded_lookup(self, registry):
@@ -90,6 +93,53 @@ class TestRouting:
         route = Route(RouteKind.NEW)
         assert route.candidates == frozenset()
         assert route.variate_key is None
+
+
+# full names shared by several authors, "0001"-style homonym suffixes, case
+# and period variants, and atomic-variate forms of the same names
+PRINTED_NAMES = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["Yan ", "yan ", "Yu ", "Y ", "Y. ", "Ya-Ni "]),
+    st.sampled_from(["Chen", "CHEN", "Li"]),
+    st.sampled_from(["", " 0001", " 0002"]),
+)
+
+
+class TestRoutingProperty:
+    @staticmethod
+    def oracle(authors, query):
+        """The authors whose full or atomic variate key equals the query's
+        key, found by comparing against every author."""
+        try:
+            key = normalize_name(query).key()
+        except ValueError:
+            return frozenset()
+        matched = set()
+        for author in authors:
+            name = normalize_name(author.base_name)
+            if key in (name.key(), atomic_variate(name).key()):
+                matched.add(author)
+        return frozenset(matched)
+
+    @given(
+        st.lists(st.lists(PRINTED_NAMES, min_size=1, max_size=3), min_size=1, max_size=6),
+        st.lists(PRINTED_NAMES | st.sampled_from(["Nobody Known", "...", "Y Wang"]), min_size=1, max_size=6),
+    )
+    def test_matches_brute_force_oracle(self, author_lists, queries):
+        corpus = [rec(f"k{i}", *names) for i, names in enumerate(author_lists)]
+        registry = build_author_registry(corpus)
+        authors = {m.author_id for r in corpus for m in r.authors}
+        for query in queries:
+            want = self.oracle(authors, query)
+            route = route_name(registry, query)
+            assert route.candidates == want
+            if not want:
+                assert (route.kind, route.author, route.variate_key) == (RouteKind.NEW, None, None)
+            elif len(want) == 1:
+                assert (route.kind, route.author, route.variate_key) == (RouteKind.UNIQUE, *want, None)
+            else:
+                assert route.kind is RouteKind.AMBIGUOUS and route.author is None
+                assert route.variate_key == atomic_variate(normalize_name(query)).key()
 
 
 CLASSES = [AuthorId("Wei Fan", 0), AuthorId("Wen Fan", 0), AuthorId("W Fan", 0)]
@@ -158,7 +208,7 @@ class TestPredictAuthor:
         enc = default_encoders()
         rng = np.random.default_rng(31)
         for trial in range(12):
-            params = init_model(ModelConfig(**{**SMALL.to_dict(), "seed": trial}))
+            params = init_model(dataclasses.replace(SMALL, seed=trial))
             omega = int(rng.integers(1, 6))
             names = [f"Aa Bb{rng.integers(100)}" for _ in range(omega)]
             record = rec(f"t{trial}", *names, title=f"paper {trial}", source="X")
@@ -235,7 +285,7 @@ class TestPredictAuthor:
     def test_float64_checkpoint_scores_unchanged(self, tmp_path):
         """A float64 checkpoint still predicts in float64, with the scores the
         float64-only predictor gave for this model and record."""
-        params = init_model(ModelConfig(**{**SMALL.to_dict(), "seed": 31}))
+        params = init_model(dataclasses.replace(SMALL, seed=31))
         rng = np.random.default_rng(31)
         for b in params.biases:
             b[...] = rng.normal(0.0, 0.3, size=b.shape)
@@ -335,9 +385,9 @@ class TestRendering:
         pred = predict_author(
             params, CLASS_INDEX, rec("k", "Wei Fan", "Jia Luo"), "W Fan", MODE_FULL, default_encoders()
         )
-        text = render_prediction(pred, top_k=2)
+        text = render_prediction(pred)
         assert "target\tW Fan" in text
         assert "pairs\t3" in text
-        assert "rank 1\t" in text
-        assert "rank 3\t" not in text
+        assert "rank 3\t" in text
+        assert "rank 4\t" not in text
         assert text.endswith(f"chosen\t{pred.chosen.render()}")

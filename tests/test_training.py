@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -379,7 +381,7 @@ class TestTrainBlockModel:
         block = separable_block(3)
         split = split_per_author(block, seed=1)
         short = TrainRunConfig(max_epochs=1, patience=10, batch_size=16, seed=5)
-        seeded = ModelConfig(**{**SMALL_MODEL.to_dict(), "seed": 12345})
+        seeded = dataclasses.replace(SMALL_MODEL, seed=12345)
         a = train_block_model(block, split, default_encoders(), short, SMALL_MODEL)
         b = train_block_model(block, split, default_encoders(), short, seeded)
         assert np.array_equal(a.final_params.flat, b.final_params.flat)
