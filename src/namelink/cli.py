@@ -117,13 +117,17 @@ def _check_encoders(bundle: CheckpointBundle, checkpoint: str, encoders: Encoder
         )
 
 
-def _table_misses(encoders: Encoders) -> dict:
-    """Fallback lookups of each embedding table in use, for the manifest."""
-    misses = {}
+def _encoder_counts(encoders: Encoders) -> dict:
+    """For the manifest: the fallback lookups of each embedding table in use,
+    and the cache hit rate of each hashing encoder (a table's fallback sees
+    only the table's misses); a rate is null when its encoder was not called."""
+    counts = {}
     for kind, encoder in (("name", encoders.name), ("text", encoders.text)):
         if isinstance(encoder, TableEncoder):
-            misses[f"{kind}_table_misses"] = encoder.miss_count
-    return misses
+            counts[f"{kind}_table_misses"] = encoder.miss_count
+            encoder = encoder.fallback
+        counts[f"{kind}_cache_hit_rate"] = encoder.hit_rate
+    return counts
 
 
 def _run_identity(params_dtype: np.dtype) -> dict:
@@ -291,7 +295,7 @@ def _cmd_train(args) -> dict:
             f"{s['variate']}\tclasses {s['classes']}\tepochs {s['epochs_run']}\t"
             f"best epoch {s['best_epoch']}\tval acc {s['best_val_accuracy']:.4f}\t{s['checkpoint']}"
         )
-    return {"blocks": summaries}
+    return {"blocks": summaries, **_encoder_counts(encoders)}
 
 
 def _cmd_predict(args) -> dict:
@@ -340,7 +344,7 @@ def _cmd_predict(args) -> dict:
         "record": args.record_key,
         "chosen": prediction.chosen.render(),
         "pairs": prediction.pair_count,
-        **_table_misses(encoders),
+        **_encoder_counts(encoders),
     }
 
 
@@ -378,7 +382,7 @@ def _cmd_evaluate(args) -> dict:
         "instances": report.instance_count,
         "MiAF1": report.miaf1,
         "MaAF1": report.maaf1,
-        **_table_misses(encoders),
+        **_encoder_counts(encoders),
         "out": args.out,
     }
 

@@ -54,19 +54,29 @@ def _finalize(vec: np.ndarray) -> np.ndarray:
 
 
 class _CachedEncoder:
-    """Memoizes ``_encode`` for the first ``CACHE_SIZE`` distinct strings."""
+    """Memoizes ``_encode`` for the first ``CACHE_SIZE`` distinct strings,
+    counting the ``calls`` and the ``hits`` served from the cache."""
 
     def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
+        self.calls = 0
+        self.hits = 0
 
     def __call__(self, text: str) -> np.ndarray:
+        self.calls += 1
         cached = self._cache.get(text)
         if cached is not None:
+            self.hits += 1
             return cached
         vec = self._encode(text)
         if len(self._cache) < CACHE_SIZE:
             self._cache[text] = vec
         return vec
+
+    @property
+    def hit_rate(self) -> float | None:
+        """Share of calls served from the cache; None before the first call."""
+        return self.hits / self.calls if self.calls else None
 
 
 class HashingNameEncoder(_CachedEncoder):
@@ -122,9 +132,9 @@ class EmbeddingTableError(Exception):
 
 
 class TableEncoder:
-    """Exact-key lookup into a precomputed embedding table, falling back to a
-    built-in encoder on misses (counted in ``miss_count``).  ``sha256`` is the
-    digest of the file the table was loaded from, or None."""
+    """Exact-key lookup into a precomputed embedding table, falling back to
+    the encoder ``fallback`` on misses (counted in ``miss_count``).
+    ``sha256`` is the digest of the file the table was loaded from, or None."""
 
     def __init__(
         self,
@@ -136,14 +146,14 @@ class TableEncoder:
         self.dim = dim
         self.sha256 = sha256
         self._table = table
-        self._fallback = fallback
+        self.fallback = fallback
         self.miss_count = 0
 
     def __call__(self, text: str) -> np.ndarray:
         vec = self._table.get(text)
         if vec is None:
             self.miss_count += 1
-            return self._fallback(text)
+            return self.fallback(text)
         return vec
 
 
@@ -213,16 +223,19 @@ def name_input(
     rows with one entry per sample, and ``first`` is either one first-name
     vector shared by every sample or one row per sample.  A missing
     co-author slot points at the encoding of the empty string, a zero row.
-    The rows are written into ``out`` when given, so a caller that redraws
-    j often can reuse one buffer instead of holding two.
+    The rows are written into ``out`` when given, so a caller that builds
+    many batches can reuse one buffer.  The pair half is summed and halved
+    in a contiguous array and copied in once: arithmetic on the strided
+    half of ``out`` costs about three times as much.
     """
     dim = vectors.shape[1]
     if out is None:
         out = np.empty((len(p), 2 * dim))
     out[:, :dim] = first
-    pair = out[:, dim:]
-    np.add(vectors[p], vectors[j], out=pair)
+    pair = vectors[p]
+    pair += vectors[j]
     pair *= 0.5
+    out[:, dim:] = pair
     return out
 
 
@@ -232,9 +245,11 @@ def text_input(
     """Input two, one row per record: (text(title) + text(source)) / 2.
 
     An empty source contributes the zero vector and so halves the title
-    signal rather than renormalizing.
+    signal rather than renormalizing.  The source vectors are added row by
+    row, so no second matrix the size of the output is built.
     """
     out = np.stack([np.asarray(text_encoder(t)) for t in titles])
-    out += np.stack([np.asarray(text_encoder(s)) for s in sources])
+    for row, source in zip(out, sources):
+        row += text_encoder(source)
     out *= 0.5
     return out

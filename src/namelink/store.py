@@ -100,8 +100,14 @@ def write_corpus_store(records: Iterable[BibRecord], path: str | Path) -> StoreS
 
 
 def read_corpus_store(path: str | Path) -> Iterator[BibRecord]:
-    """Yield the records of a store file in their written order."""
+    """Yield the records of a store file in their written order.
+
+    Fails on a record key seen on an earlier line, naming it and the line:
+    ``write_corpus_store`` never writes one, and readers look records up by
+    key.
+    """
     path = Path(path)
+    seen: set[str] = set()
     with open(path, "rb") as fh:
         header = fh.readline()
         shown = header.decode("utf-8", "replace").rstrip("\n")
@@ -119,6 +125,9 @@ def read_corpus_store(path: str | Path) -> Iterator[BibRecord]:
                 record = record_from_json(payload)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise CorpusStoreError(f"corrupt record line: {exc}", path, line_no) from exc
+            if record.record_key in seen:
+                raise CorpusStoreError(f"duplicate record key {record.record_key!r}", path, line_no)
+            seen.add(record.record_key)
             yield record
 
 

@@ -10,8 +10,9 @@ one fixed pairing.
 Training runs mini-batch Adam on the weighted cross-entropy in float32,
 stops when the validation loss has not improved for ``patience`` consecutive
 epochs, and returns the parameters of the best validation-accuracy epoch,
-not the last.  The bank itself stays float64; each batch is cast as the
-model reads it.
+not the last.  The bank keeps no rows: each batch's float64 inputs are
+assembled from name and text vectors as the loop reaches it, into one
+reused buffer, and cast as the model reads them.
 """
 
 from __future__ import annotations
@@ -143,8 +144,11 @@ def split_per_author(block: Block, seed: int) -> SplitAssignment:
 
 
 class SampleBank:
-    """Every training input of a list of block entries, held as row indices
-    into one matrix of encoded names.
+    """Every training input of a list of block entries, held as what its
+    rows are built from: row indices into one matrix of encoded names, and
+    one text row per entry.  :meth:`rows` assembles the model inputs of a
+    batch of rows on demand, so a bank costs about 48 bytes per row plus
+    one text row per entry, instead of a float64 row of both inputs.
 
     The sample rule: an entry (record, target position) whose record has
     omega authors gives 2*omega rows.  For each author position p, the target
@@ -161,42 +165,41 @@ class SampleBank:
     def __init__(self, entries: Sequence[BlockEntry], class_index: dict[AuthorId, int], encoders: Encoders):
         string_ids: dict[str, int] = {"": 0}
         intern = lambda s: string_ids.setdefault(s, len(string_ids))
-        first_ids: list[int] = []
+        # per entry: its twin pairs, the target's two first-name forms, its class
+        entry_pairs: list[int] = []
+        entry_firsts: list[tuple[int, int]] = []
+        entry_labels: list[int] = []
         p_ids: list[int] = []
-        labels: list[int] = []
-        rows_per_entry: list[int] = []
-        pair_start: list[int] = []
-        pair_omega: list[int] = []
         for entry in entries:
             forms = [name_forms(normalize_name(m.display_name)) for m in entry.record.authors]
             target = forms[entry.position]
             coauthors = [(f.full, f.anv) for f in forms] if len(forms) > 1 else [("", "")]
-            pair_start += [len(p_ids)] * len(coauthors)
-            pair_omega += [len(coauthors)] * len(coauthors)
             for full, anv in coauthors:
-                first_ids += [intern(target.full_first), intern(target.anv_first)]
                 p_ids += [intern(full), intern(anv)]
-            rows_per_entry.append(2 * len(coauthors))
-            labels += [class_index[entry.target.author_id]] * rows_per_entry[-1]
+            entry_pairs.append(len(coauthors))
+            entry_firsts.append((intern(target.full_first), intern(target.anv_first)))
+            entry_labels.append(class_index[entry.target.author_id])
 
         self._vectors = np.stack([np.asarray(encoders.name(s)) for s in string_ids])
         self.name_dim = self._vectors.shape[1]
-        self._first_ids = np.array(first_ids, dtype=np.intp)
+        pairs = np.array(entry_pairs, dtype=np.int64)
+        rows_per_entry = 2 * pairs
+        self._row_entry = np.repeat(np.arange(len(entries)), rows_per_entry)
+        pair_entry = self._row_entry[0::2]
+        # rows alternate full and abbreviated forms, so a pair's two first names are its entry's
+        self._first_ids = np.array(entry_firsts, dtype=np.intp).reshape(-1, 2)[pair_entry].ravel()
         self._p_ids = np.array(p_ids, dtype=np.intp)
-        self._j_ids = np.zeros(len(p_ids), dtype=np.intp)
+        self._j_ids = np.zeros(self._p_ids.size, dtype=np.intp)
         # per twin pair: its entry's first row and omega, to draw j from
-        self._pair_start = np.array(pair_start, dtype=np.intp)
-        self._pair_omega = np.array(pair_omega, dtype=np.int64)
-        self.labels = np.array(labels, dtype=np.int64)
-        if rows_per_entry:
+        self._pair_start = (np.cumsum(rows_per_entry) - rows_per_entry)[pair_entry]
+        self._pair_omega = pairs[pair_entry]
+        self.labels = np.array(entry_labels, dtype=np.int64)[self._row_entry]
+        if entries:
             records = [e.record for e in entries]
-            text_rows = text_input(encoders.text, [r.title for r in records], [r.source for r in records])
-            self.x2 = np.repeat(text_rows, rows_per_entry, axis=0)
+            self._text_rows = text_input(encoders.text, [r.title for r in records], [r.source for r in records])
         else:
-            self.x2 = np.zeros((0, 0))
-        self.text_dim = self.x2.shape[1]
-        self.x1 = np.empty((len(p_ids), 2 * self.name_dim))
-        self._build_x1()
+            self._text_rows = np.zeros((0, 0))
+        self.text_dim = self._text_rows.shape[1]
 
     @property
     def n_samples(self) -> int:
@@ -209,10 +212,15 @@ class SampleBank:
         j_row = self._pair_start + 2 * rng.integers(self._pair_omega)
         self._j_ids[0::2] = self._p_ids[j_row]
         self._j_ids[1::2] = self._p_ids[j_row + 1]
-        self._build_x1()
 
-    def _build_x1(self) -> None:
-        name_input(self._vectors[self._first_ids], self._vectors, self._p_ids, self._j_ids, out=self.x1)
+    def rows(self, idx: np.ndarray | slice, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """The float64 inputs (x1, x2) of the rows ``idx`` (an index array
+        or a slice), in that order.  x1 is written into ``out`` when given,
+        a (len(idx), 2 * name_dim) buffer that a caller assembling many
+        batches reuses."""
+        first = self._vectors[self._first_ids[idx]]
+        x1 = name_input(first, self._vectors, self._p_ids[idx], self._j_ids[idx], out=out)
+        return x1, self._text_rows[self._row_entry[idx]]
 
 
 @dataclass(frozen=True)
@@ -312,9 +320,11 @@ def _evaluate_bank(params: ModelParams, bank: SampleBank) -> tuple[float, float]
     total_loss = 0.0
     total_correct = 0
     n = bank.n_samples
+    x1_buffer = np.empty((min(n, EVAL_BATCH), 2 * bank.name_dim))
     for start in range(0, n, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, n)
-        probs, _ = forward_batch(params, bank.x1[start:stop], bank.x2[start:stop], mode="infer")
+        x1, x2 = bank.rows(slice(start, stop), out=x1_buffer[: stop - start])
+        probs, _ = forward_batch(params, x1, x2, mode="infer")
         labels = bank.labels[start:stop]
         p_true = probs[np.arange(stop - start), labels]
         total_loss += float(-np.log(np.maximum(p_true, LOG_FLOOR)).sum())
@@ -390,6 +400,7 @@ def train_block_model(
     stopped_early = False
     epoch_seconds: list[float] = []
     n = bank.n_samples
+    x1_buffer = np.empty((min(n, config.batch_size), 2 * bank.name_dim))
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -399,8 +410,9 @@ def train_block_model(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
+            x1, x2 = bank.rows(idx, out=x1_buffer[: idx.size])
             loss, grad = loss_and_gradients_batch(
-                params, bank.x1[idx], bank.x2[idx], bank.labels[idx], sample_weights[idx], rng=dropout_rng,
+                params, x1, x2, bank.labels[idx], sample_weights[idx], rng=dropout_rng,
             )
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")

@@ -1011,6 +1011,24 @@ class TestManifest:
         assert entry["status"] == "error"
         assert "error" in entry["result"]
 
+    def test_encoder_cache_hit_rates(self, ws, tables, tmp_path, capsys):
+        manifest = tmp_path / "m.ndjson"
+        common = ["--corpus", ws["corpus"], "--manifest", str(manifest)]
+        assert main(["evaluate", *common, "--block", "Y Chen", "--checkpoint", ws["ckpt"]]) == 0
+        assert main(
+            ["predict", *common, "--name", "Y Chen", "--record-key", "synth/a/0000", "--checkpoint", ws["ckpt"]]
+        ) == 0
+        capsys.readouterr()
+        evaluated, predicted = (e["result"] for e in manifest_entries(manifest))
+        trained = next(e for e in manifest_entries(ws["manifest"]) if e["command"] == "train")["result"]
+        (with_tables,) = (e["result"] for e in manifest_entries(ws["root"] / "tables.ndjson"))
+        for result in (trained, evaluated, predicted, with_tables):
+            for kind in ("name", "text"):
+                assert 0.0 <= result[f"{kind}_cache_hit_rate"] <= 1.0
+        # a block's entries share the target's first names, so training hits the cache
+        assert trained["name_cache_hit_rate"] > 0.0
+        assert predicted["route"] == "AMBIGUOUS"
+
     def test_unwritable_manifest_is_operational_error(self, ws, tmp_path, capsys):
         rc = main(["stats", "--corpus", ws["corpus"], "--manifest", str(tmp_path / "missing" / "m.ndjson")])
         captured = capsys.readouterr()

@@ -127,6 +127,18 @@ class TestErrors:
             list(read_corpus_store(path))
         assert err.value.line_no == 3
 
+    def test_duplicate_key_rejected_on_read(self, tmp_path):
+        # a store written by something other than write_corpus_store
+        path = tmp_path / "dup.ndjson"
+        good = tmp_path / "good.ndjson"
+        write_corpus_store(make_records(), good)
+        lines = good.read_text("utf-8").splitlines()
+        path.write_text("\n".join(lines + [lines[1]]) + "\n", "utf-8")
+        with pytest.raises(CorpusStoreError) as err:
+            load_corpus(path)
+        assert err.value.line_no == 4
+        assert "journals/x/A1" in str(err.value)
+
     def test_missing_field_in_record_line(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         body = json.dumps({"key": "k", "kind": "article"})

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,11 @@ def one_entry_bank(record, position, enc, seed=None):
     return bank
 
 
+def all_rows(bank):
+    """(x1, x2) of every row of ``bank``, in row order."""
+    return bank.rows(np.arange(bank.n_samples))
+
+
 def drawn_j(enc, row, p_name, names):
     """The positions j whose name completes a row's pair half with p's name."""
     pair = row[enc.name.dim :]
@@ -156,32 +162,33 @@ class TestGenerateSamples:
         enc = default_encoders()
         bank = one_entry_bank(FOUR, 0, enc, seed=1)
         assert bank.n_samples == 8
-        np.testing.assert_array_equal(bank.x1[0::2, :200], np.tile(enc.name("Alan"), (4, 1)))
-        np.testing.assert_array_equal(bank.x1[1::2, :200], np.tile(enc.name("A"), (4, 1)))
+        x1, _ = all_rows(bank)
+        np.testing.assert_array_equal(x1[0::2, :200], np.tile(enc.name("Alan"), (4, 1)))
+        np.testing.assert_array_equal(x1[1::2, :200], np.tile(enc.name("A"), (4, 1)))
 
     def test_full_rows_walk_every_position(self):
         # before the first draw j is the empty name, so the pair half is name(p) / 2
         enc = default_encoders()
-        bank = one_entry_bank(FOUR, 0, enc)
+        x1, _ = all_rows(one_entry_bank(FOUR, 0, enc))
         for k in range(4):
-            np.testing.assert_allclose(bank.x1[2 * k, 200:], 0.5 * enc.name(FULLS[k]), atol=1e-12)
-            np.testing.assert_allclose(bank.x1[2 * k + 1, 200:], 0.5 * enc.name(ANVS[k]), atol=1e-12)
+            np.testing.assert_allclose(x1[2 * k, 200:], 0.5 * enc.name(FULLS[k]), atol=1e-12)
+            np.testing.assert_allclose(x1[2 * k + 1, 200:], 0.5 * enc.name(ANVS[k]), atol=1e-12)
 
     def test_modes_never_mix_within_a_sample(self):
         enc = default_encoders()
-        bank = one_entry_bank(FOUR, 1, enc, seed=2)
-        np.testing.assert_array_equal(bank.x1[0::2, :200], np.tile(enc.name("Grace"), (4, 1)))
-        np.testing.assert_array_equal(bank.x1[1::2, :200], np.tile(enc.name("G"), (4, 1)))
+        x1, _ = all_rows(one_entry_bank(FOUR, 1, enc, seed=2))
+        np.testing.assert_array_equal(x1[0::2, :200], np.tile(enc.name("Grace"), (4, 1)))
+        np.testing.assert_array_equal(x1[1::2, :200], np.tile(enc.name("G"), (4, 1)))
         for k in range(4):
-            assert drawn_j(enc, bank.x1[2 * k], FULLS[k], FULLS)
-            assert drawn_j(enc, bank.x1[2 * k + 1], ANVS[k], ANVS)
+            assert drawn_j(enc, x1[2 * k], FULLS[k], FULLS)
+            assert drawn_j(enc, x1[2 * k + 1], ANVS[k], ANVS)
 
     def test_twins_share_j(self):
         enc = default_encoders()
-        bank = one_entry_bank(FOUR, 0, enc, seed=3)
+        x1, _ = all_rows(one_entry_bank(FOUR, 0, enc, seed=3))
         for k in range(4):
-            full_j = drawn_j(enc, bank.x1[2 * k], FULLS[k], FULLS)
-            anv_j = drawn_j(enc, bank.x1[2 * k + 1], ANVS[k], ANVS)
+            full_j = drawn_j(enc, x1[2 * k], FULLS[k], FULLS)
+            anv_j = drawn_j(enc, x1[2 * k + 1], ANVS[k], ANVS)
             assert len(full_j) == 1 and full_j == anv_j
 
     def test_label_and_record_key(self):
@@ -190,26 +197,27 @@ class TestGenerateSamples:
         bank = one_entry_bank(FOUR, 2, enc, seed=4)
         assert bank.labels.tolist() == [2] * 8
         text = 0.5 * (enc.text(FOUR.title) + enc.text(FOUR.source))
-        np.testing.assert_array_equal(bank.x2, np.tile(text, (8, 1)))
+        np.testing.assert_array_equal(all_rows(bank)[1], np.tile(text, (8, 1)))
 
     def test_solo_record_uses_empty_sentinels(self):
         enc = default_encoders()
         solo = rec("s1", "Alan Turing")
         bank = one_entry_bank(solo, 0, enc, seed=5)
         assert bank.n_samples == 2
-        np.testing.assert_array_equal(bank.x1[0, :200], enc.name("Alan"))
-        np.testing.assert_array_equal(bank.x1[1, :200], enc.name("A"))
-        np.testing.assert_array_equal(bank.x1[:, 200:], np.zeros((2, 200)))
+        x1, _ = all_rows(bank)
+        np.testing.assert_array_equal(x1[0, :200], enc.name("Alan"))
+        np.testing.assert_array_equal(x1[1, :200], enc.name("A"))
+        np.testing.assert_array_equal(x1[:, 200:], np.zeros((2, 200)))
 
     def test_seeded_determinism(self):
         enc = default_encoders()
         a = one_entry_bank(FOUR, 0, enc, seed=6)
         b = one_entry_bank(FOUR, 0, enc, seed=6)
-        np.testing.assert_array_equal(a.x1, b.x1)
+        np.testing.assert_array_equal(all_rows(a)[0], all_rows(b)[0])
 
     def test_j_draw_depends_on_rng(self):
         enc = default_encoders()
-        draws = {one_entry_bank(FOUR, 0, enc, seed=seed).x1.tobytes() for seed in range(8)}
+        draws = {all_rows(one_entry_bank(FOUR, 0, enc, seed=seed))[0].tobytes() for seed in range(8)}
         assert len(draws) > 1
 
 
@@ -229,8 +237,9 @@ class TestSampleBank:
         bank = SampleBank(block.entries, block.class_index, default_encoders())
         # 2*omega per record: 6 + 4 + 4 + 2
         assert bank.n_samples == 16
-        assert bank.x1.shape == (16, 400)
-        assert bank.x2.shape == (16, 768)
+        x1, x2 = all_rows(bank)
+        assert x1.shape == (16, 400)
+        assert x2.shape == (16, 768)
         assert bank.labels.tolist() == [0] * 6 + [0] * 4 + [1] * 4 + [1] * 2
 
     def test_rows_match_assemble_features(self):
@@ -239,6 +248,7 @@ class TestSampleBank:
         enc = default_encoders()
         bank = SampleBank(block.entries, block.class_index, enc)
         bank.assign_coauthors(np.random.default_rng(7))
+        bank_x1, bank_x2 = all_rows(bank)
 
         # oracle: one j per position p, entry by entry; a solo record pairs "" with ""
         replay = np.random.default_rng(7)
@@ -255,8 +265,8 @@ class TestSampleBank:
                 for first, names in modes:
                     pair = (names[p], names[j]) if j is not None else ("", "")
                     x1 = np.concatenate([enc.name(first), 0.5 * (enc.name(pair[0]) + enc.name(pair[1]))])
-                    np.testing.assert_allclose(bank.x1[i], x1, atol=1e-12)
-                    np.testing.assert_allclose(bank.x2[i], x2, atol=1e-12)
+                    np.testing.assert_allclose(bank_x1[i], x1, atol=1e-12)
+                    np.testing.assert_allclose(bank_x2[i], x2, atol=1e-12)
                     assert bank.labels[i] == block.class_index[entry.target.author_id]
                     i += 1
         assert i == bank.n_samples
@@ -264,23 +274,101 @@ class TestSampleBank:
     def test_reassignment_keeps_static_half(self):
         block = self.make_block()
         bank = SampleBank(block.entries, block.class_index, default_encoders())
-        static = bank.x1[:, :200].copy()
-        x2 = bank.x2.copy()
+        x1, x2 = all_rows(bank)
         bank.assign_coauthors(np.random.default_rng(8))
-        first = bank.x1[:, 200:].copy()
+        first = all_rows(bank)[0]
         bank.assign_coauthors(np.random.default_rng(9))
-        np.testing.assert_array_equal(bank.x1[:, :200], static)
-        np.testing.assert_array_equal(bank.x2, x2)
-        assert not np.array_equal(bank.x1[:, 200:], first)
+        redrawn_x1, redrawn_x2 = all_rows(bank)
+        np.testing.assert_array_equal(redrawn_x1[:, :200], x1[:, :200])
+        np.testing.assert_array_equal(redrawn_x2, x2)
+        assert not np.array_equal(redrawn_x1[:, 200:], first[:, 200:])
 
     def test_reassignment_reproducible(self):
         block = self.make_block()
         bank = SampleBank(block.entries, block.class_index, default_encoders())
         bank.assign_coauthors(np.random.default_rng(10))
-        snap = bank.x1.copy()
+        snap = all_rows(bank)[0]
         bank.assign_coauthors(np.random.default_rng(11))
         bank.assign_coauthors(np.random.default_rng(10))
-        np.testing.assert_array_equal(bank.x1, snap)
+        np.testing.assert_array_equal(all_rows(bank)[0], snap)
+
+    def test_rows_of_a_shuffled_batch_match_the_full_rows(self):
+        block = self.make_block()
+        bank = SampleBank(block.entries, block.class_index, default_encoders())
+        rng = np.random.default_rng(12)
+        for draw in range(2):
+            bank.assign_coauthors(rng)
+            full_x1, full_x2 = all_rows(bank)
+            idx = rng.permutation(bank.n_samples)[:11]
+            x1, x2 = bank.rows(idx)
+            np.testing.assert_array_equal(x1, full_x1[idx])
+            np.testing.assert_array_equal(x2, full_x2[idx])
+            out = np.full((idx.size, 2 * bank.name_dim), np.nan)
+            assert bank.rows(idx, out=out)[0] is out
+            np.testing.assert_array_equal(out, full_x1[idx])
+
+
+class TestSampleBankMemory:
+    """A bank holds what its rows are built from, not the rows: per entry
+    one text row, per distinct name one vector, per row a few indices."""
+
+    # fixed overhead of a bank build besides its arrays: Python objects of
+    # the entries, the name strings, the array views of np.stack
+    SLACK = 256 * 1024
+
+    def make_block(self):
+        """Two authors, 60 records, omega 6 to 8 from a pool of 12 co-authors:
+        many rows per entry and few distinct names."""
+        rng = np.random.default_rng(5)
+        pool = [f"Co Author{k}" for k in range(12)]
+        corpus = [
+            rec(
+                f"r{k:03d}",
+                "Wei Fang" if k % 2 else "Wen Fang",
+                *rng.choice(pool, size=int(rng.integers(5, 8)), replace=False),
+                title=f"title {k} words",
+                source=f"venue{k % 7}",
+            )
+            for k in range(60)
+        ]
+        return build_block(corpus, build_author_registry(corpus), "W Fang")
+
+    @staticmethod
+    def distinct_names(block):
+        names = {""}
+        for entry in block.entries:
+            forms = [name_forms(normalize_name(m.display_name)) for m in entry.record.authors]
+            names |= {f.full for f in forms} | {f.anv for f in forms}
+            names |= {forms[entry.position].full_first, forms[entry.position].anv_first}
+        return len(names)
+
+    def test_no_array_holds_a_float_row_per_sample(self):
+        block = self.make_block()
+        bank = SampleBank(block.entries, block.class_index, default_encoders())
+        assert bank.n_samples >= 12 * len(block.entries)
+        for name, value in vars(bank).items():
+            if isinstance(value, np.ndarray) and value.ndim == 2 and len(value) == bank.n_samples:
+                assert not (np.issubdtype(value.dtype, np.floating) and value.shape[1] > 1), name
+
+    def test_traced_peak_is_per_entry_and_per_name(self):
+        block = self.make_block()
+        enc = default_encoders()
+        # the first build fills the encoders' caches, which the bank does not own
+        SampleBank(block.entries, block.class_index, enc)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            bank = SampleBank(block.entries, block.class_index, enc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = (
+            len(block.entries) * bank.text_dim * 8
+            + self.distinct_names(block) * bank.name_dim * 8
+            + bank.n_samples * 64
+            + self.SLACK
+        )
+        assert peak - before < bound
 
 
 class TestMonitor:
