@@ -104,11 +104,8 @@ def _encoder_fingerprint(encoders: Encoders) -> dict:
 
 
 def _check_encoders(bundle: CheckpointBundle, checkpoint: str, encoders: Encoders) -> None:
-    """Refuse encoders other than the checkpoint was trained with;
-    checkpoints written before the fingerprint was stored pass."""
-    trained = bundle.extra.get("encoders")
-    if trained is None:
-        return
+    """Refuse encoders other than the checkpoint was trained with."""
+    trained = bundle.extra["encoders"]
     given = _encoder_fingerprint(encoders)
     if trained != given:
         raise CheckpointError(
@@ -361,11 +358,10 @@ def _cmd_evaluate(args) -> dict:
             f"the classes of checkpoint {args.checkpoint}, or their order, do not match block "
             f"{block.display_variate!r} of this corpus"
         )
-    trained_seed = bundle.extra.get("master_seed")
-    if trained_seed is not None and trained_seed != args.seed:
+    if bundle.extra["master_seed"] != args.seed:
         # another seed gives another split, whose TEST records training saw
         raise EvaluationError(
-            f"checkpoint was trained with --seed {trained_seed} but evaluate got --seed {args.seed}"
+            f"checkpoint was trained with --seed {bundle.extra['master_seed']} but evaluate got --seed {args.seed}"
         )
     encoders = _build_encoders(args.name_table, args.text_table)
     _check_encoders(bundle, args.checkpoint, encoders)
@@ -511,8 +507,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subs
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict[str, tuple[int, str]]:
+    """Config key (``-`` read as ``_``) -> (line number, raw value)."""
+    entries: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
         try:
             line = raw.decode("utf-8").strip()
@@ -523,7 +520,10 @@ def _parse_config_file(path: str) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{path}:{line_no}: expected key=value, got {line!r}")
-        entries[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        if key in entries:
+            raise ValueError(f"{path}:{line_no}: config key {key!r} is already set on line {entries[key][0]}")
+        entries[key] = (line_no, value.strip())
     return entries
 
 
@@ -540,6 +540,21 @@ def _flags_given(subparser: argparse.ArgumentParser, sub_argv: list[str]) -> set
             action.default = default
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True, "0": False, "false": False, "no": False, "off": False}
+
+
+def _config_value(action: argparse.Action, raw: str):
+    """``raw`` as the flag of ``action`` would take it, or ValueError."""
+    if isinstance(action.const, bool) or isinstance(action.default, bool):
+        if raw.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}")
+        return _BOOLEANS[raw.lower()]
+    value = raw if action.type is None else action.type(raw)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"choose from {', '.join(action.choices)}")
+    return [value] if isinstance(action, argparse._AppendAction) else value
+
+
 def _apply_config_file(
     args: argparse.Namespace, subparser: argparse.ArgumentParser, sub_argv: list[str]
 ) -> None:
@@ -548,28 +563,18 @@ def _apply_config_file(
     if not args.config:
         return
     entries = _parse_config_file(args.config)
-    known = {}
-    for action in subparser._actions:
-        if action.dest not in ("help",):
-            known[action.dest] = action
+    known = {action.dest: action for action in subparser._actions if action.dest != "help"}
     given = _flags_given(subparser, sub_argv)
-    for key, raw in entries.items():
+    for key, (line_no, raw) in entries.items():
         action = known.get(key)
         if action is None:
-            raise ValueError(f"config key {key!r} is not a flag of this command")
+            raise ValueError(f"{args.config}:{line_no}: config key {key!r} is not a flag of this command")
         if action.dest in given:
             continue
-        if isinstance(action.const, bool) or isinstance(action.default, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                value = action.type(raw)
-            except ValueError as exc:
-                raise ValueError(f"{args.config}: config key {key!r} has bad value {raw!r}: {exc}") from exc
-        elif isinstance(action, argparse._AppendAction):
-            value = [raw]
-        else:
-            value = raw
+        try:
+            value = _config_value(action, raw)
+        except ValueError as exc:
+            raise ValueError(f"{args.config}:{line_no}: config key {key!r} has bad value {raw!r}: {exc}") from exc
         setattr(args, action.dest, value)
 
 

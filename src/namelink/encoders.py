@@ -134,14 +134,14 @@ class EmbeddingTableError(Exception):
 class TableEncoder:
     """Exact-key lookup into a precomputed embedding table, falling back to
     the encoder ``fallback`` on misses (counted in ``miss_count``).
-    ``sha256`` is the digest of the file the table was loaded from, or None."""
+    ``sha256`` is the digest of the file the table was loaded from."""
 
     def __init__(
         self,
         table: dict[str, np.ndarray],
         fallback: Callable[[str], np.ndarray],
         dim: int,
-        sha256: str | None = None,
+        sha256: str,
     ):
         self.dim = dim
         self.sha256 = sha256

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -403,11 +403,29 @@ class CheckpointError(Exception):
     pass
 
 
+def _check_run_fields(path, extra) -> None:
+    """Every checkpoint's ``extra`` carries the master seed that drew its
+    block's split and the fingerprint of the encoders that built its inputs,
+    so a run with another seed or other encoders can be refused."""
+    if not isinstance(extra, dict):
+        bad = "extra"
+    elif type(extra.get("master_seed")) is not int:
+        bad = "extra.master_seed"
+    elif not isinstance(extra.get("encoders"), dict):
+        bad = "extra.encoders"
+    else:
+        return
+    raise CheckpointError(
+        f"checkpoint {path}: {bad} is missing or of the wrong type; a checkpoint must record its "
+        "master seed and encoders, and files written before checkpoints did must be retrained"
+    )
+
+
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
     class_index: Sequence[AuthorId],
-    extra: dict | None = None,
+    extra: dict,
 ) -> None:
     """Persist a model for prediction: its parameters, topology and classes.
 
@@ -420,11 +438,12 @@ def save_checkpoint(
         raise CheckpointError(
             f"class index length {len(class_index)} != n_classes {params.config.n_classes}"
         )
+    _check_run_fields(path, extra)
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
         "classes": [[a.base_name, a.homonym_index] for a in class_index],
-        "extra": extra or {},
+        "extra": extra,
     }
     meta_bytes = np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8)
     path = str(path)
@@ -436,13 +455,12 @@ def save_checkpoint(
 class CheckpointBundle:
     params: ModelParams
     class_index: list[AuthorId]
-    extra: dict = field(default_factory=dict)
+    extra: dict
 
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
-    """Reload a checkpoint's model in the dtype it was saved in.  Members
-    other than ``meta`` and ``params`` are ignored, so older files that also
-    hold the Adam moments (``adam_m``, ``adam_v``, ``meta.adam``) load too."""
+    """Reload a checkpoint's model in the dtype it was saved in; a file
+    without the ``extra`` fields ``save_checkpoint`` requires is refused."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
@@ -450,16 +468,14 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
     # np.load raises EOFError on an empty file
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if meta.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"unsupported checkpoint format {meta.get('format')!r}")
+    if not isinstance(meta, dict) or meta.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"checkpoint {path}: not a {CHECKPOINT_FORMAT} file")
+    _check_run_fields(path, meta.get("extra"))
     try:
         stored = dict(meta["config"])
         classes = [AuthorId(base, idx) for base, idx in meta["classes"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"bad metadata in checkpoint {path}: missing or malformed {exc}") from exc
-    # configs written before branch dropout was removed carry it, always off
-    if stored.pop("dropout_branches", False) is not False:
-        raise CheckpointError(f"checkpoint {path} enables branch dropout, which is not supported")
     missing = [f.name for f in fields(ModelConfig) if f.name not in stored]
     if missing:
         raise CheckpointError(f"bad model config in checkpoint {path}: missing {', '.join(missing)}")
@@ -473,4 +489,4 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise CheckpointError(
             f"checkpoint {path}: params has shape {flat.shape}, the model needs ({config.n_params},)"
         )
-    return CheckpointBundle(params=ModelParams(config, flat), class_index=classes, extra=meta.get("extra", {}))
+    return CheckpointBundle(params=ModelParams(config, flat), class_index=classes, extra=meta["extra"])

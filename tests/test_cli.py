@@ -18,11 +18,22 @@ FIXTURE_XML = str(Path(__file__).parent / "data" / "dblp_fixture.xml")
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def resave(src, dst, class_index=None, drop_extra=()):
-    """Copy a checkpoint, optionally with other classes or fewer extra keys."""
+def resave(src, dst, class_index=None):
+    """Copy a checkpoint, optionally with other classes."""
     bundle = load_checkpoint(src)
-    extra = {k: v for k, v in bundle.extra.items() if k not in drop_extra}
-    save_checkpoint(dst, bundle.params, class_index or bundle.class_index, extra)
+    save_checkpoint(dst, bundle.params, class_index or bundle.class_index, bundle.extra)
+    return str(dst)
+
+
+def rewrite_meta(src, dst, edit):
+    """Copy a checkpoint member by member with ``edit`` applied to its parsed
+    ``meta``, so the copy may hold what save_checkpoint refuses to write."""
+    with np.load(src) as archive:
+        arrays = dict(archive)
+    meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+    edit(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    np.savez(dst, **arrays)
     return str(dst)
 
 
@@ -595,8 +606,11 @@ class TestEvaluate:
         assert "--seed 0" in captured.err and "--seed 5" in captured.err
         assert "MiAF1" not in captured.out
 
-    def test_checkpoint_without_master_seed_still_loads(self, ws, tmp_path, capsys):
-        ckpt = resave(ws["ckpt"], tmp_path / "old.npz", drop_extra=("master_seed",))
+    def test_checkpoint_without_master_seed_refused(self, ws, tmp_path, capsys):
+        """A file that does not say which seed drew its split cannot pass the
+        seed check by leaving the seed out."""
+        ckpt = rewrite_meta(ws["ckpt"], tmp_path / "old.npz", lambda meta: meta["extra"].pop("master_seed"))
+        manifest = tmp_path / "m"
         rc = main(
             [
                 "evaluate",
@@ -604,11 +618,14 @@ class TestEvaluate:
                 "--block", "Y Chen",
                 "--checkpoint", ckpt,
                 "--seed", "5",
-                "--manifest", str(tmp_path / "m"),
+                "--manifest", str(manifest),
             ]
         )
-        assert rc == 0
-        assert "MiAF1 (All)\t" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: checkpoint {ckpt}: extra.master_seed is missing")
+        assert "retrained" in captured.err and "MiAF1" not in captured.out
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
 
 
     def test_encoders_other_than_training_rejected(self, ws, tables, tmp_path, capsys):
@@ -630,8 +647,9 @@ class TestEvaluate:
         assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
         assert "MiAF1" not in captured.out
 
-    def test_checkpoint_without_encoder_fingerprint_still_loads(self, ws, tables, tmp_path, capsys):
-        ckpt = resave(ws["ckpt"], tmp_path / "old.npz", drop_extra=("encoders",))
+    def test_checkpoint_without_encoder_fingerprint_refused(self, ws, tables, tmp_path, capsys):
+        ckpt = rewrite_meta(ws["ckpt"], tmp_path / "old.npz", lambda meta: meta["extra"].pop("encoders"))
+        manifest = tmp_path / "m"
         rc = main(
             [
                 "evaluate",
@@ -639,11 +657,14 @@ class TestEvaluate:
                 "--block", "Y Chen",
                 "--checkpoint", ckpt,
                 "--name-table", tables["name_table"],
-                "--manifest", str(tmp_path / "m"),
+                "--manifest", str(manifest),
             ]
         )
-        assert rc == 0
-        assert "MiAF1 (All)\t" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: checkpoint {ckpt}: extra.encoders is missing")
+        assert "MiAF1" not in captured.out
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
 
     def test_manifest_reports_table_misses(self, ws, tables, tmp_path, capsys):
         manifest = tmp_path / "m"
@@ -665,22 +686,27 @@ class TestEvaluate:
         assert with_tables["name_table_misses"] > 0
         assert 0 < with_tables["text_table_misses"] <= 2 * 6
 
-    @pytest.mark.parametrize("key", ["config", "classes"])
+    @pytest.mark.parametrize("key", ["config", "classes", "extra", "master_seed", "encoders"])
     def test_checkpoint_metadata_missing_key(self, ws, tmp_path, capsys, key):
-        with np.load(ws["ckpt"]) as archive:
-            arrays = dict(archive)
-        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
-        del meta[key]
-        arrays["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        ckpt = tmp_path / "broken.npz"
-        np.savez(ckpt, **arrays)
+        """``meta`` without ``key``; ``master_seed`` and ``encoders`` go from
+        ``extra``, and ``extra`` stays as a list of its items."""
+
+        def edit(meta):
+            if key == "extra":
+                meta["extra"] = list(meta["extra"].items())
+            elif key in meta:
+                del meta[key]
+            else:
+                del meta["extra"][key]
+
+        ckpt = rewrite_meta(ws["ckpt"], tmp_path / "broken.npz", edit)
         manifest = tmp_path / "m"
         rc = main(
             [
                 "evaluate",
                 "--corpus", ws["corpus"],
                 "--block", "Y Chen",
-                "--checkpoint", str(ckpt),
+                "--checkpoint", ckpt,
                 "--manifest", str(manifest),
             ]
         )
@@ -721,13 +747,18 @@ class TestEvaluate:
 
 
 class TestCheckpointCompatibility:
-    def legacy_checkpoint(self, src, dst):
+    def legacy_checkpoint(self, src, dst, fingerprint=True):
         """``src`` rewritten in the older layout that also stored the Adam
-        moments: ``adam_m``, ``adam_v`` and ``meta.adam``."""
+        moments: ``adam_m``, ``adam_v`` and ``meta.adam``.  Without
+        ``fingerprint`` it is a file from before the encoder fingerprint was
+        stored: no ``extra.encoders``, and ``dropout_branches`` in its config."""
         with np.load(src) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
             params = archive["params"]
         meta["adam"] = {"t": 12, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+        if not fingerprint:
+            del meta["extra"]["encoders"]
+            meta["config"]["dropout_branches"] = False
         rng = np.random.default_rng(0)
         np.savez(
             dst,
@@ -758,6 +789,23 @@ class TestCheckpointCompatibility:
             outputs.append(capsys.readouterr().out)
         assert "MiAF1 (All)" in outputs[0] and "chosen\t" in outputs[0]
         assert outputs[0] == outputs[1]
+
+    def test_checkpoint_without_fingerprint_refused_by_evaluate_and_predict(self, ws, tmp_path, capsys):
+        legacy = self.legacy_checkpoint(ws["ckpt"], tmp_path / "legacy.npz", fingerprint=False)
+        runs = (
+            ["evaluate", "--corpus", ws["corpus"], "--block", "Y Chen", "--checkpoint", legacy],
+            ["predict", "--corpus", ws["corpus"], "--name", "Y Chen", "--record-key", "synth/a/0000",
+             "--checkpoint", legacy],
+        )
+        for argv in runs:
+            manifest = tmp_path / f"{argv[0]}.ndjson"
+            rc = main(argv + ["--manifest", str(manifest)])
+            captured = capsys.readouterr()
+            assert rc == 1
+            assert f"error: checkpoint {legacy}: extra.encoders is missing" in captured.err
+            assert "must be retrained" in captured.err
+            assert "MiAF1" not in captured.out and "chosen\t" not in captured.out
+            assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
 
 
 class TestPredict:
@@ -972,6 +1020,46 @@ class TestConfigFile:
         assert rc == 1
         assert err.startswith("error:")
         assert str(cfg) in err and "'seed'" in err and "'abc'" in err
+
+    def test_value_outside_choices_names_file_key_value_and_choices(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "predict.cfg"
+        cfg.write_text("mode=anv\n", "utf-8")
+        argv = ["predict", "--corpus", ws["corpus"], "--name", "Y Chen", "--config", str(cfg)]
+        rc = main(argv + ["--manifest", str(tmp_path / "m")])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith(f"error: {cfg}:1: config key 'mode' has bad value 'anv': ")
+        assert "ALL, ANV" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(("raw", "value"), [("1", True), ("Yes", True), ("ON", True), ("0", False), ("off", False), ("FALSE", False)])
+    def test_boolean_values(self, tmp_path, capsys, raw, value):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"share-full-name={raw}\n", "utf-8")
+        manifest = tmp_path / "m"
+        argv = ["gen-synth", "--out", str(tmp_path / "c.nd"), "--authors", "2", "--records-per-author", "1"]
+        assert main(argv + ["--config", str(cfg), "--manifest", str(manifest)]) == 0
+        (entry,) = manifest_entries(manifest)
+        assert entry["config"]["share_full_name"] is value
+
+    def test_boolean_value_not_a_boolean_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("# typo\nshare_full_name=ture\n", "utf-8")
+        out = tmp_path / "c.nd"
+        rc = main(["gen-synth", "--out", str(out), "--config", str(cfg), "--manifest", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {cfg}:2: config key 'share_full_name' has bad value 'ture': ")
+        assert not out.exists()
+
+    def test_repeated_key_names_file_and_both_lines(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("max-epochs=2\nseed=1\nmax_epochs=3\n", "utf-8")
+        out = tmp_path / "t.npz"
+        argv = ["train", "--corpus", ws["corpus"], "--block", "Y Chen", "--out", str(out), "--config", str(cfg)]
+        rc = main(argv + ["--manifest", str(tmp_path / "m")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: config key 'max_epochs' is already set on line 1\n"
+        assert not out.exists()
 
     def test_malformed_line_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -89,7 +89,7 @@ class TestTableEncoder:
     def test_hit_and_miss(self):
         fallback = HashingNameEncoder()
         stored = np.ones(NAME_DIM) / np.sqrt(NAME_DIM)
-        enc = TableEncoder({"Wei Wang": stored}, fallback, NAME_DIM)
+        enc = TableEncoder({"Wei Wang": stored}, fallback, NAME_DIM, sha256="0" * 64)
         np.testing.assert_array_equal(enc("Wei Wang"), stored)
         assert enc.miss_count == 0
         np.testing.assert_array_equal(enc("Unknown Person"), fallback("Unknown Person"))

@@ -38,6 +38,8 @@ TINY = ModelConfig(
     merged_hidden=(5, 3),
     dropout_rate=0.0,
 )
+# what save_checkpoint requires in a checkpoint's extra
+RUN_FIELDS = {"master_seed": 0, "encoders": {}}
 
 
 def random_inputs(config, batch, seed=0):
@@ -540,17 +542,17 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         path = tmp_path / "model.npz"
         params = self.make_params()
-        save_checkpoint(path, params, self.classes(), extra={"note": "x"})
+        save_checkpoint(path, params, self.classes(), {**RUN_FIELDS, "note": "x"})
         bundle = load_checkpoint(path)
         assert np.array_equal(bundle.params.flat, params.flat)
         assert bundle.params.config == params.config
         assert bundle.class_index == self.classes()
-        assert bundle.extra == {"note": "x"}
+        assert bundle.extra == {**RUN_FIELDS, "note": "x"}
 
     def test_reload_preserves_inference(self, tmp_path):
         path = tmp_path / "model.npz"
         params = self.make_params(seed=21)
-        save_checkpoint(path, params, self.classes())
+        save_checkpoint(path, params, self.classes(), RUN_FIELDS)
         bundle = load_checkpoint(path)
         x1, x2 = random_inputs(params.config, 11, seed=22)
         a, _ = forward_batch(params, x1, x2)
@@ -560,7 +562,7 @@ class TestCheckpoint:
     def test_class_count_mismatch(self, tmp_path):
         path = tmp_path / "model.npz"
         with pytest.raises(CheckpointError):
-            save_checkpoint(path, self.make_params(), self.classes()[:2])
+            save_checkpoint(path, self.make_params(), self.classes()[:2], RUN_FIELDS)
         assert not path.exists()
 
     def test_unreadable_file(self, tmp_path):
@@ -577,7 +579,7 @@ class TestCheckpoint:
         """A checkpoint cut anywhere, down to an empty file, is refused as a
         checkpoint error rather than whatever numpy raises."""
         path = tmp_path / "model.npz"
-        save_checkpoint(path, self.make_params(), self.classes())
+        save_checkpoint(path, self.make_params(), self.classes(), RUN_FIELDS)
         data = path.read_bytes()
         cut = tmp_path / "cut.npz"
         for length in range(len(data)):
@@ -589,7 +591,7 @@ class TestCheckpoint:
         """A checkpoint whose stored model config is edited after saving."""
         path = tmp_path / "model.npz"
         params = self.make_params()
-        save_checkpoint(path, params, self.classes())
+        save_checkpoint(path, params, self.classes(), RUN_FIELDS)
         with np.load(path) as archive:
             arrays = {key: archive[key] for key in archive.files}
         meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
@@ -598,21 +600,24 @@ class TestCheckpoint:
         np.savez(path, **arrays)
         return path, params
 
-    def test_legacy_branch_dropout_off_still_loads(self, tmp_path):
-        path, params = self.saved_with_config(tmp_path, dropout_branches=False)
-        bundle = load_checkpoint(path)
-        assert bundle.params.config == params.config
-        np.testing.assert_array_equal(bundle.params.flat, params.flat)
-
     def test_legacy_branch_dropout_on_rejected(self, tmp_path):
+        """The branch dropout flag that older files stored is refused like
+        any field the config does not have."""
         path, _ = self.saved_with_config(tmp_path, dropout_branches=True)
-        with pytest.raises(CheckpointError, match="branch dropout"):
+        with pytest.raises(CheckpointError, match="dropout_branches"):
             load_checkpoint(path)
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path, _ = self.saved_with_config(tmp_path, no_such_field=1)
         with pytest.raises(CheckpointError, match="no_such_field"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("extra", [{}, {"master_seed": 0}, {"encoders": {}}, {"master_seed": True, "encoders": {}}])
+    def test_run_fields_required_to_save(self, tmp_path, extra):
+        path = tmp_path / "model.npz"
+        with pytest.raises(CheckpointError, match=r"extra\.(master_seed|encoders) is missing"):
+            save_checkpoint(path, self.make_params(), self.classes(), extra)
+        assert not path.exists()
 
     @pytest.mark.parametrize("name", ["n_classes", "merged_hidden", "seed"])
     def test_missing_config_field_rejected(self, tmp_path, name):
@@ -629,7 +634,7 @@ class TestCheckpoint:
     def saved_arrays(self, tmp_path):
         """A saved checkpoint's path and its stored arrays, to rewrite."""
         path = tmp_path / "model.npz"
-        save_checkpoint(path, self.make_params(), self.classes())
+        save_checkpoint(path, self.make_params(), self.classes(), RUN_FIELDS)
         with np.load(path) as archive:
             return path, {key: archive[key] for key in archive.files}
 
@@ -693,7 +698,7 @@ class TestCheckpointProperties:
         classes = [classes[i] for i in rng.permutation(config.n_classes)]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.npz"
-            save_checkpoint(path, params, classes)
+            save_checkpoint(path, params, classes, RUN_FIELDS)
             bundle = load_checkpoint(path)
         assert bundle.params.flat.dtype == np.dtype(dtype)
         assert bundle.params.flat.tobytes() == params.flat.tobytes()

@@ -289,7 +289,7 @@ class TestPredictAuthor:
         rng = np.random.default_rng(31)
         for b in params.biases:
             b[...] = rng.normal(0.0, 0.3, size=b.shape)
-        save_checkpoint(tmp_path / "m.npz", params, CLASSES)
+        save_checkpoint(tmp_path / "m.npz", params, CLASSES, {"master_seed": 31, "encoders": {}})
         bundle = load_checkpoint(tmp_path / "m.npz")
         assert bundle.params.flat.dtype == np.float64
         record = rec("k", "Wei Fan", "Jia Luo", "Ming Xie", title="Sparse codes for name pairs", source="J. Names")
