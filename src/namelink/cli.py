@@ -602,16 +602,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        # a config-file error is logged like any other: with the flags as set so far
         _apply_config_file(args, subs[args.command], argv[argv.index(args.command) + 1 :])
-    except _OPERATIONAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    missing = [name for name in _REQUIRED[args.command] if getattr(args, name) in (None, [])]
-    if missing:
-        subs[args.command].error(
-            "missing required argument(s): " + ", ".join(f"--{m.replace('_', '-')}" for m in missing)
-        )
-    try:
+        missing = [name for name in _REQUIRED[args.command] if getattr(args, name) in (None, [])]
+        if missing:
+            subs[args.command].error(
+                "missing required argument(s): " + ", ".join(f"--{m.replace('_', '-')}" for m in missing)
+            )
         payload = _COMMANDS[args.command](args)
         _write_manifest(args, "ok", payload, time.perf_counter() - started)
     except _OPERATIONAL_ERRORS as exc:

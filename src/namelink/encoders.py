@@ -240,16 +240,24 @@ def name_input(
 
 
 def text_input(
-    text_encoder: Callable[[str], np.ndarray], titles: Sequence[str], sources: Sequence[str]
+    text_encoder: Callable[[str], np.ndarray],
+    titles: Sequence[str],
+    sources: Sequence[str],
+    dtype: type = np.float64,
 ) -> np.ndarray:
-    """Input two, one row per record: (text(title) + text(source)) / 2.
+    """Input two, one row per record: (text(title) + text(source)) / 2, in
+    ``dtype``; ``text_encoder`` has a ``dim`` like every encoder here.
 
     An empty source contributes the zero vector and so halves the title
-    signal rather than renormalizing.  The source vectors are added row by
-    row, so no second matrix the size of the output is built.
+    signal rather than renormalizing.  Each row is summed and halved in
+    float64 and rounded once as it is stored, so a float32 row holds the
+    bits of the float64 row cast, and no float64 matrix the size of the
+    output is built.
     """
-    out = np.stack([np.asarray(text_encoder(t)) for t in titles])
-    for row, source in zip(out, sources):
-        row += text_encoder(source)
-    out *= 0.5
+    out = np.empty((len(titles), text_encoder.dim), dtype)
+    row = np.empty(text_encoder.dim)
+    for i, (title, source) in enumerate(zip(titles, sources)):
+        np.add(text_encoder(title), text_encoder(source), out=row)
+        row *= 0.5
+        out[i] = row
     return out

@@ -14,14 +14,18 @@ flat entries.  The vector's dtype is the model's precision: the forward pass,
 the gradient, the dropout mask and the Adam moments all take it, and inputs
 are cast to it.  ``init_model`` draws float64; training casts the initial
 vector to float32, which halves the memory traffic of every step and needs
-no loss scaling.
+no loss scaling.  The sample bank hands training float32 rows already, so
+that cast copies nothing; their pair half is summed in float64 and rounded
+once, which gives the bits a cast of the float64 row would.
 
-The training step allocates little: backprop writes each layer's weight and
-bias gradient straight into its view of one flat gradient vector and skips
-the gradient with respect to the network's inputs, which nothing reads.  The
-Adam update then runs in place on the parameters and moments, one
-cache-sized slice at a time, using that gradient vector as scratch plus one
-slice-sized buffer.
+The training step allocates little: each layer's ReLU runs in place on its
+pre-activation, so the forward pass keeps one array per layer, and backprop
+takes the ReLU mask from that activation.  Backprop writes each layer's
+weight and bias gradient straight into its view of one flat gradient vector
+and skips the gradient with respect to the network's inputs, which nothing
+reads.  The Adam update then runs in place on the parameters and moments,
+one cache-sized slice at a time, using that gradient vector as scratch plus
+one slice-sized buffer.
 
 ``forward_batch`` is the forward pass of training and of plain batches.  Its
 layer helpers (``split_layers``, ``run_stack``, ``softmax``) are shared with
@@ -162,15 +166,17 @@ def split_layers(config: ModelConfig, w: list[np.ndarray], b: list[np.ndarray]):
     )
 
 
-def run_stack(x: np.ndarray, ws, bs) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def run_stack(x: np.ndarray, ws, bs) -> list[np.ndarray]:
     """Run ``x`` through a stack of ReLU layers: the activations, input
-    first, and the pre-activations of every layer."""
-    acts, zs = [x], []
+    first.  Each layer's ReLU runs in place on its pre-activation, so no
+    pre-activation is kept; backprop reads a layer's ReLU mask from its
+    activation instead, since ``relu(z) > 0`` is ``z > 0``, NaN included."""
+    acts = [x]
     for w, b in zip(ws, bs):
-        z = acts[-1] @ w + b
-        zs.append(z)
-        acts.append(np.maximum(z, 0.0))
-    return acts, zs
+        z = acts[-1] @ w
+        z += b
+        acts.append(np.maximum(z, 0.0, out=z))
+    return acts
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -191,11 +197,13 @@ def forward_batch(
     """Run a batch through the network.
 
     ``x1`` is (B, input1_dim), ``x2`` is (B, input2_dim), both cast to the
-    parameters' dtype; returns (B, n_classes) class probabilities in that
-    dtype.  ``mode`` "train" applies inverted dropout (needs ``rng``, from
-    which it draws float64 uniforms whatever the dtype) and returns the
-    activation cache backprop needs; "infer" is deterministic and returns no
-    cache.
+    parameters' dtype, which copies neither when it is theirs already (the
+    sample bank's float32 rows, whose pair half is summed in float64 and
+    rounded once); returns (B, n_classes) class probabilities in that dtype.
+    ``mode`` "train" applies inverted dropout (needs ``rng``, from which it
+    draws float64 uniforms whatever the dtype) and returns the cache
+    backprop needs: the inputs and every layer's activation, but no
+    pre-activation; "infer" is deterministic and returns no cache.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -215,11 +223,11 @@ def forward_batch(
 
     (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(cfg, params.weights, params.biases)
 
-    b1_acts, b1_zs = run_stack(x1, w1s, b1s)
-    b2_acts, b2_zs = run_stack(x2, w2s, b2s)
+    b1_acts = run_stack(x1, w1s, b1s)
+    b2_acts = run_stack(x2, w2s, b2s)
 
     concat = np.concatenate([b1_acts[-1], b2_acts[-1]], axis=1)
-    m_acts, m_zs = run_stack(concat, wms, bms)
+    m_acts = run_stack(concat, wms, bms)
 
     last_hidden = m_acts[-1]
     mask_last = None
@@ -237,12 +245,9 @@ def forward_batch(
         "x1": x1,
         "x2": x2,
         "b1_acts": b1_acts,
-        "b1_zs": b1_zs,
         "b2_acts": b2_acts,
-        "b2_zs": b2_zs,
         "concat": concat,
         "m_acts": m_acts,
-        "m_zs": m_zs,
         "last_hidden": last_hidden,
         "mask_last": mask_last,
         "probs": probs,
@@ -292,24 +297,24 @@ def loss_and_gradients_batch(
     if cache["mask_last"] is not None:
         dh *= cache["mask_last"]
 
-    def back_stack(dh, ws, acts, zs, gws, gbs, input_grad):
+    def back_stack(dh, ws, acts, gws, gbs, input_grad):
         """Backprop through one ReLU stack, writing its gradients into
         ``gws``/``gbs``; with ``input_grad`` it returns the gradient with
         respect to the stack's input, without it the result is not used."""
         for i in range(len(ws) - 1, -1, -1):
-            dz = dh * (zs[i] > 0.0)
+            dz = dh * (acts[i + 1] > 0.0)
             np.matmul(acts[i].T, dz, out=gws[i])
             np.sum(dz, axis=0, out=gbs[i])
             if i > 0 or input_grad:
                 dh = dz @ ws[i].T
         return dh
 
-    d_concat = back_stack(dh, wms, cache["m_acts"], cache["m_zs"], gwm, gbm, input_grad=True)
+    d_concat = back_stack(dh, wms, cache["m_acts"], gwm, gbm, input_grad=True)
     split = cache["b1_acts"][-1].shape[1]
     d1, d2 = d_concat[:, :split], d_concat[:, split:]
     # nothing reads the gradient with respect to x1 or x2
-    back_stack(d1, w1s, cache["b1_acts"], cache["b1_zs"], gw1, gb1, input_grad=False)
-    back_stack(d2, w2s, cache["b2_acts"], cache["b2_zs"], gw2, gb2, input_grad=False)
+    back_stack(d1, w1s, cache["b1_acts"], gw1, gb1, input_grad=False)
+    back_stack(d2, w2s, cache["b2_acts"], gw2, gb2, input_grad=False)
 
     return loss, grad_flat
 

@@ -184,7 +184,7 @@ def forward_batched(
     w_cat, b_cat = (wms[0], bms[0]) if wms else (w_out, b_out)
     split = cfg.branch1_hidden[-1] if cfg.branch1_hidden else cfg.input1_dim
     w_cat1 = w_cat[:split]
-    text_out = run_stack(text_row, w2s, b2s)[0][-1]
+    text_out = run_stack(text_row, w2s, b2s)[-1]
     cat_bias = text_out @ w_cat[split:] + b_cat
     w_in, b_in = (w1s[0], b1s[0]) if w1s else (w_cat1, cat_bias)
     c = first_vec @ w_in[:dim] + b_in
@@ -199,12 +199,12 @@ def forward_batched(
         z += c
         if w1s:
             np.maximum(z, 0.0, out=z)
-            z = run_stack(z, w1s[1:], b1s[1:])[0][-1] @ w_cat1
+            z = run_stack(z, w1s[1:], b1s[1:])[-1] @ w_cat1
             z += cat_bias
         # z is now the pre-activation of the layer that takes the concatenation
         if wms:
             np.maximum(z, 0.0, out=z)
-            z = run_stack(z, wms[1:], bms[1:])[0][-1] @ w_out + b_out
+            z = run_stack(z, wms[1:], bms[1:])[-1] @ w_out + b_out
         probs[start:stop] = softmax(z)
     return probs
 

@@ -10,9 +10,12 @@ one fixed pairing.
 Training runs mini-batch Adam on the weighted cross-entropy in float32,
 stops when the validation loss has not improved for ``patience`` consecutive
 epochs, and returns the parameters of the best validation-accuracy epoch,
-not the last.  The bank keeps no rows: each batch's float64 inputs are
-assembled from name and text vectors as the loop reaches it, into one
-reused buffer, and cast as the model reads them.
+not the last.  The bank keeps no rows: each batch's inputs are assembled
+from name vectors and float32 text rows as the loop reaches it, into one
+reused buffer, already in the parameters' dtype, so the model reads them
+without a copy.  Every float32 value is its float64 value rounded once:
+the pair half of input one and each text row are summed and halved in
+float64 and rounded as they are stored.
 """
 
 from __future__ import annotations
@@ -145,10 +148,11 @@ def split_per_author(block: Block, seed: int) -> SplitAssignment:
 
 class SampleBank:
     """Every training input of a list of block entries, held as what its
-    rows are built from: row indices into one matrix of encoded names, and
-    one text row per entry.  :meth:`rows` assembles the model inputs of a
-    batch of rows on demand, so a bank costs about 48 bytes per row plus
-    one text row per entry, instead of a float64 row of both inputs.
+    rows are built from: row indices into one float64 matrix of encoded
+    names, and one float32 text row per entry (summed and halved in float64,
+    then rounded once).  :meth:`rows` assembles the float32 model inputs of
+    a batch of rows on demand, so a bank costs about 48 bytes per row plus
+    one float32 text row per entry, instead of a row of both inputs.
 
     The sample rule: an entry (record, target position) whose record has
     omega authors gives 2*omega rows.  For each author position p, the target
@@ -194,11 +198,9 @@ class SampleBank:
         self._pair_start = (np.cumsum(rows_per_entry) - rows_per_entry)[pair_entry]
         self._pair_omega = pairs[pair_entry]
         self.labels = np.array(entry_labels, dtype=np.int64)[self._row_entry]
-        if entries:
-            records = [e.record for e in entries]
-            self._text_rows = text_input(encoders.text, [r.title for r in records], [r.source for r in records])
-        else:
-            self._text_rows = np.zeros((0, 0))
+        records = [e.record for e in entries]
+        titles, sources = [r.title for r in records], [r.source for r in records]
+        self._text_rows = text_input(encoders.text, titles, sources, dtype=np.float32)
         self.text_dim = self._text_rows.shape[1]
 
     @property
@@ -214,11 +216,15 @@ class SampleBank:
         self._j_ids[1::2] = self._p_ids[j_row + 1]
 
     def rows(self, idx: np.ndarray | slice, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """The float64 inputs (x1, x2) of the rows ``idx`` (an index array
+        """The float32 inputs (x1, x2) of the rows ``idx`` (an index array
         or a slice), in that order.  x1 is written into ``out`` when given,
-        a (len(idx), 2 * name_dim) buffer that a caller assembling many
-        batches reuses."""
+        a float32 (len(idx), 2 * name_dim) buffer that a caller assembling
+        many batches reuses.  x1's pair half is summed and halved in float64
+        and rounded once as it is copied in, so each row holds the bits of
+        the float64 row cast; x2 is a gather of the float32 text rows."""
         first = self._vectors[self._first_ids[idx]]
+        if out is None:
+            out = np.empty((len(first), 2 * self.name_dim), np.float32)
         x1 = name_input(first, self._vectors, self._p_ids[idx], self._j_ids[idx], out=out)
         return x1, self._text_rows[self._row_entry[idx]]
 
@@ -320,7 +326,7 @@ def _evaluate_bank(params: ModelParams, bank: SampleBank) -> tuple[float, float]
     total_loss = 0.0
     total_correct = 0
     n = bank.n_samples
-    x1_buffer = np.empty((min(n, EVAL_BATCH), 2 * bank.name_dim))
+    x1_buffer = np.empty((min(n, EVAL_BATCH), 2 * bank.name_dim), np.float32)
     for start in range(0, n, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, n)
         x1, x2 = bank.rows(slice(start, stop), out=x1_buffer[: stop - start])
@@ -400,7 +406,7 @@ def train_block_model(
     stopped_early = False
     epoch_seconds: list[float] = []
     n = bank.n_samples
-    x1_buffer = np.empty((min(n, config.batch_size), 2 * bank.name_dim))
+    x1_buffer = np.empty((min(n, config.batch_size), 2 * bank.name_dim), np.float32)
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
@@ -418,6 +424,8 @@ def train_block_model(
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             adam_step(params, grad, adam)
             epoch_loss += loss * idx.size
+        # the last step's gradient would otherwise stay alive through the scoring
+        del grad
         val_loss, val_accuracy = _evaluate_bank(params, val_bank)
         checkpointed = monitor.observe(epoch, val_loss, val_accuracy)
         if checkpointed:

@@ -997,7 +997,7 @@ class TestConfigFile:
     def test_unknown_key_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("no_such_flag=1\n", "utf-8")
-        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg)])
+        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg), "--manifest", str(tmp_path / "m")])
         assert rc == 1
         assert "not a flag" in capsys.readouterr().err
 
@@ -1061,10 +1061,32 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {cfg}:3: config key 'max_epochs' is already set on line 1\n"
         assert not out.exists()
 
+    def test_config_error_appends_an_error_entry(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=abc\n", "utf-8")
+        manifest = tmp_path / "m.ndjson"
+        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg), "--manifest", str(manifest)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        (entry,) = manifest_entries(manifest)
+        assert entry["command"] == "stats"
+        assert entry["status"] == "error"
+        assert err == f"error: {entry['result']['error']}\n"
+        assert str(cfg) in entry["result"]["error"] and "'seed'" in entry["result"]["error"]
+        assert entry["config"]["corpus"] == ws["corpus"]
+
+    def test_missing_config_file_appends_an_error_entry(self, ws, tmp_path, capsys):
+        manifest = tmp_path / "m.ndjson"
+        rc = main(["stats", "--config", str(tmp_path / "absent.cfg"), "--manifest", str(manifest)])
+        capsys.readouterr()
+        assert rc == 1
+        (entry,) = manifest_entries(manifest)
+        assert entry["status"] == "error" and "absent.cfg" in entry["result"]["error"]
+
     def test_malformed_line_rejected(self, ws, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("just a line without equals\n", "utf-8")
-        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg)])
+        rc = main(["stats", "--corpus", ws["corpus"], "--config", str(cfg), "--manifest", str(tmp_path / "m")])
         assert rc == 1
         assert "key=value" in capsys.readouterr().err
 

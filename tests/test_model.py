@@ -192,6 +192,16 @@ class TestForward:
         np.testing.assert_array_equal(infer, train)
         assert cache is not None and cache["mask_last"] is None
 
+    def test_train_cache_holds_no_pre_activations(self):
+        """Each ReLU runs in place on its pre-activation: the cache keeps one
+        array per layer, and backprop masks with the activations."""
+        params = init_model(TINY)
+        x1, x2 = random_inputs(TINY, 6, seed=5)
+        _, cache = forward_batch(params, x1, x2, mode="train", rng=None)
+        assert not [key for key in cache if key.endswith("_zs")]
+        for key in ("b1_acts", "b2_acts", "m_acts"):
+            assert all((act >= 0.0).all() for act in cache[key][1:])
+
 
 class TestLossAndGradients:
     def test_zero_params_loss_is_log_n_classes(self):

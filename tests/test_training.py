@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from namelink.blocking import BlockEntry, build_block
-from namelink.encoders import default_encoders
-from namelink.model import ModelConfig
+from namelink.encoders import default_encoders, name_input
+from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
 from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
+    EVAL_BATCH,
     SampleBank,
     Split,
     SplitAssignment,
@@ -21,6 +22,7 @@ from namelink.training import (
     derive_block_seeds,
     split_per_author,
     train_block_model,
+    _evaluate_bank,
 )
 
 
@@ -146,12 +148,17 @@ def all_rows(bank):
     return bank.rows(np.arange(bank.n_samples))
 
 
+def f32(x):
+    """A float64 oracle rounded once, as the bank stores its rows."""
+    return np.asarray(x).astype(np.float32)
+
+
 def drawn_j(enc, row, p_name, names):
     """The positions j whose name completes a row's pair half with p's name."""
     pair = row[enc.name.dim :]
     return {
         j for j, n in enumerate(names)
-        if np.allclose(pair, 0.5 * (enc.name(p_name) + enc.name(n)), rtol=0, atol=1e-12)
+        if np.array_equal(pair, f32(0.5 * (enc.name(p_name) + enc.name(n))))
     }
 
 
@@ -163,22 +170,22 @@ class TestGenerateSamples:
         bank = one_entry_bank(FOUR, 0, enc, seed=1)
         assert bank.n_samples == 8
         x1, _ = all_rows(bank)
-        np.testing.assert_array_equal(x1[0::2, :200], np.tile(enc.name("Alan"), (4, 1)))
-        np.testing.assert_array_equal(x1[1::2, :200], np.tile(enc.name("A"), (4, 1)))
+        np.testing.assert_array_equal(x1[0::2, :200], f32(np.tile(enc.name("Alan"), (4, 1))))
+        np.testing.assert_array_equal(x1[1::2, :200], f32(np.tile(enc.name("A"), (4, 1))))
 
     def test_full_rows_walk_every_position(self):
         # before the first draw j is the empty name, so the pair half is name(p) / 2
         enc = default_encoders()
         x1, _ = all_rows(one_entry_bank(FOUR, 0, enc))
         for k in range(4):
-            np.testing.assert_allclose(x1[2 * k, 200:], 0.5 * enc.name(FULLS[k]), atol=1e-12)
-            np.testing.assert_allclose(x1[2 * k + 1, 200:], 0.5 * enc.name(ANVS[k]), atol=1e-12)
+            np.testing.assert_array_equal(x1[2 * k, 200:], f32(0.5 * enc.name(FULLS[k])))
+            np.testing.assert_array_equal(x1[2 * k + 1, 200:], f32(0.5 * enc.name(ANVS[k])))
 
     def test_modes_never_mix_within_a_sample(self):
         enc = default_encoders()
         x1, _ = all_rows(one_entry_bank(FOUR, 1, enc, seed=2))
-        np.testing.assert_array_equal(x1[0::2, :200], np.tile(enc.name("Grace"), (4, 1)))
-        np.testing.assert_array_equal(x1[1::2, :200], np.tile(enc.name("G"), (4, 1)))
+        np.testing.assert_array_equal(x1[0::2, :200], f32(np.tile(enc.name("Grace"), (4, 1))))
+        np.testing.assert_array_equal(x1[1::2, :200], f32(np.tile(enc.name("G"), (4, 1))))
         for k in range(4):
             assert drawn_j(enc, x1[2 * k], FULLS[k], FULLS)
             assert drawn_j(enc, x1[2 * k + 1], ANVS[k], ANVS)
@@ -197,7 +204,7 @@ class TestGenerateSamples:
         bank = one_entry_bank(FOUR, 2, enc, seed=4)
         assert bank.labels.tolist() == [2] * 8
         text = 0.5 * (enc.text(FOUR.title) + enc.text(FOUR.source))
-        np.testing.assert_array_equal(all_rows(bank)[1], np.tile(text, (8, 1)))
+        np.testing.assert_array_equal(all_rows(bank)[1], f32(np.tile(text, (8, 1))))
 
     def test_solo_record_uses_empty_sentinels(self):
         enc = default_encoders()
@@ -205,9 +212,9 @@ class TestGenerateSamples:
         bank = one_entry_bank(solo, 0, enc, seed=5)
         assert bank.n_samples == 2
         x1, _ = all_rows(bank)
-        np.testing.assert_array_equal(x1[0, :200], enc.name("Alan"))
-        np.testing.assert_array_equal(x1[1, :200], enc.name("A"))
-        np.testing.assert_array_equal(x1[:, 200:], np.zeros((2, 200)))
+        np.testing.assert_array_equal(x1[0, :200], f32(enc.name("Alan")))
+        np.testing.assert_array_equal(x1[1, :200], f32(enc.name("A")))
+        np.testing.assert_array_equal(x1[:, 200:], np.zeros((2, 200), np.float32))
 
     def test_seeded_determinism(self):
         enc = default_encoders()
@@ -265,8 +272,8 @@ class TestSampleBank:
                 for first, names in modes:
                     pair = (names[p], names[j]) if j is not None else ("", "")
                     x1 = np.concatenate([enc.name(first), 0.5 * (enc.name(pair[0]) + enc.name(pair[1]))])
-                    np.testing.assert_allclose(bank_x1[i], x1, atol=1e-12)
-                    np.testing.assert_allclose(bank_x2[i], x2, atol=1e-12)
+                    np.testing.assert_array_equal(bank_x1[i], f32(x1))
+                    np.testing.assert_array_equal(bank_x2[i], f32(x2))
                     assert bank.labels[i] == block.class_index[entry.target.author_id]
                     i += 1
         assert i == bank.n_samples
@@ -303,9 +310,37 @@ class TestSampleBank:
             x1, x2 = bank.rows(idx)
             np.testing.assert_array_equal(x1, full_x1[idx])
             np.testing.assert_array_equal(x2, full_x2[idx])
-            out = np.full((idx.size, 2 * bank.name_dim), np.nan)
+            out = np.full((idx.size, 2 * bank.name_dim), np.nan, np.float32)
             assert bank.rows(idx, out=out)[0] is out
             np.testing.assert_array_equal(out, full_x1[idx])
+
+    def test_rows_are_the_float64_rows_rounded_once(self):
+        """x1 is ``name_input`` over the rows' name ids and x2 the gather of
+        (text(title) + text(source)) / 2, both in float64, then cast once."""
+        block = self.make_block()
+        enc = default_encoders()
+        bank = SampleBank(block.entries, block.class_index, enc)
+        bank.assign_coauthors(np.random.default_rng(13))
+        records = [e.record for e in block.entries]
+        text64 = np.stack([0.5 * (enc.text(r.title) + enc.text(r.source)) for r in records])
+        for idx in (np.random.default_rng(14).permutation(bank.n_samples)[:11], slice(3, 14)):
+            first = bank._vectors[bank._first_ids[idx]]
+            x1_64 = name_input(first, bank._vectors, bank._p_ids[idx], bank._j_ids[idx])
+            x1, x2 = bank.rows(idx)
+            assert x1.dtype == x2.dtype == np.float32
+            np.testing.assert_array_equal(x1, x1_64.astype(np.float32))
+            np.testing.assert_array_equal(x2, text64[bank._row_entry[idx]].astype(np.float32))
+
+    def test_forward_batch_reads_bank_rows_without_a_copy(self):
+        block = self.make_block()
+        bank = SampleBank(block.entries, block.class_index, default_encoders())
+        bank.assign_coauthors(np.random.default_rng(15))
+        cfg = ModelConfig(n_classes=block.n_classes, input1_dim=2 * bank.name_dim, input2_dim=bank.text_dim)
+        params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
+        idx = np.arange(5)
+        x1, x2 = bank.rows(idx, out=np.empty((idx.size, 2 * bank.name_dim), np.float32))
+        _, cache = forward_batch(params, x1, x2, mode="train", rng=np.random.default_rng(16))
+        assert cache["x1"] is x1 and cache["x2"] is x2
 
 
 class TestSampleBankMemory:
@@ -316,9 +351,9 @@ class TestSampleBankMemory:
     # the entries, the name strings, the array views of np.stack
     SLACK = 256 * 1024
 
-    def make_block(self):
-        """Two authors, 60 records, omega 6 to 8 from a pool of 12 co-authors:
-        many rows per entry and few distinct names."""
+    def make_block(self, n_records=60):
+        """Two authors, ``n_records`` records, omega 6 to 8 from a pool of 12
+        co-authors: many rows per entry and few distinct names."""
         rng = np.random.default_rng(5)
         pool = [f"Co Author{k}" for k in range(12)]
         corpus = [
@@ -329,7 +364,7 @@ class TestSampleBankMemory:
                 title=f"title {k} words",
                 source=f"venue{k % 7}",
             )
-            for k in range(60)
+            for k in range(n_records)
         ]
         return build_block(corpus, build_author_registry(corpus), "W Fang")
 
@@ -369,6 +404,36 @@ class TestSampleBankMemory:
             + self.SLACK
         )
         assert peak - before < bound
+
+
+class TestEvaluateBankMemory:
+    """Scoring a bank holds one batch of float32 rows and one float32
+    activation per layer, nothing in float64 and no pre-activation."""
+
+    # allocations besides the arrays counted: index arrays, Python objects
+    SLACK = 256 * 1024
+
+    def test_traced_peak_is_float32_rows_and_one_activation_per_layer(self):
+        block = TestSampleBankMemory().make_block(n_records=100)
+        bank = SampleBank(block.entries, block.class_index, default_encoders())
+        bank.assign_coauthors(np.random.default_rng(17))
+        assert bank.n_samples >= EVAL_BATCH
+        cfg = ModelConfig(n_classes=block.n_classes, input1_dim=2 * bank.name_dim, input2_dim=bank.text_dim)
+        params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
+        _evaluate_bank(params, bank)  # the first call's one-off allocations are not the bound's
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            _evaluate_bank(params, bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        row_bytes = 4 * EVAL_BATCH * (cfg.input1_dim + cfg.input2_dim)
+        # every layer's output, the concatenation the merged stack reads, and the probabilities
+        widths = sum(n_out for _, n_out in cfg.layer_shapes())
+        concat = cfg.branch1_hidden[-1] + cfg.branch2_hidden[-1]
+        activation_bytes = 4 * EVAL_BATCH * (widths + concat + cfg.n_classes)
+        assert peak - before < row_bytes + activation_bytes + self.SLACK
 
 
 class TestMonitor:
