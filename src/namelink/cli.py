@@ -565,6 +565,9 @@ def _apply_config_file(
     entries = _parse_config_file(args.config)
     known = {action.dest: action for action in subparser._actions if action.dest != "help"}
     given = _flags_given(subparser, sub_argv)
+    if "manifest" in entries and "manifest" not in given:
+        # set first, so an error in any other key is logged to this manifest
+        args.manifest = entries["manifest"][1]
     for key, (line_no, raw) in entries.items():
         action = known.get(key)
         if action is None:

@@ -128,31 +128,21 @@ def parse_dblp_stream(
     depth = 0
     root: ET.Element | None = None
 
-    def drain() -> Iterator[tuple[str, ET.Element]]:
-        # the C parser defers feed() errors until read_events(), so both
-        # call sites need wrapping
+    def events() -> Iterator[tuple[str, ET.Element]]:
+        # feed() and read_events() raise for bad markup, close() for a cut document
+        nonlocal bytes_fed
         try:
+            while True:
+                chunk = stream.read(_CHUNK_SIZE)
+                if not chunk:
+                    break
+                pull.feed(chunk)
+                bytes_fed += len(chunk)
+                yield from pull.read_events()
+            pull.close()
             yield from pull.read_events()
         except ET.ParseError as exc:
             raise DblpParseError(str(exc), bytes_fed, exc.position) from exc
-
-    def events() -> Iterator[tuple[str, ET.Element]]:
-        nonlocal bytes_fed
-        while True:
-            chunk = stream.read(_CHUNK_SIZE)
-            if not chunk:
-                break
-            try:
-                pull.feed(chunk)
-            except ET.ParseError as exc:
-                raise DblpParseError(str(exc), bytes_fed, exc.position) from exc
-            bytes_fed += len(chunk)
-            yield from drain()
-        try:
-            pull.close()
-        except ET.ParseError as exc:
-            raise DblpParseError(str(exc), bytes_fed, exc.position) from exc
-        yield from drain()
 
     for event, elem in events():
         if event == "start":

@@ -1,10 +1,11 @@
 """Micro/macro precision, recall and F1 over block test sets.
 
-Micro metrics pool the confusion counts over all classes; since every test
-instance receives exactly one prediction, micro precision, recall and F1
-all collapse to plain accuracy.  Macro metrics average per-class values over
-the classes that actually occur in the test set; classes with zero test
-support are left out rather than dragged in as zeros.
+Every metric comes from one confusion matrix: per-class precision and
+recall from its diagonal and margins.  Since every test instance receives
+exactly one prediction, micro precision and recall both equal plain
+accuracy, and micro F1 is the F1 of that pair.  Macro metrics average
+per-class values over the classes that actually occur in the test set;
+classes with zero test support are left out rather than dragged in as zeros.
 
 Evaluation runs in two modes: ANV predicts each test record once with every
 name abbreviated; ALL predicts each record twice (full names, then
@@ -32,24 +33,24 @@ class EvaluationError(Exception):
 
 
 @dataclass(frozen=True)
-class ClassMetrics:
-    precision: float
-    recall: float
-    f1: float
-    support: int
-
-
-@dataclass(frozen=True)
 class EvalReport:
     mode: str
     instance_count: int
-    per_class: tuple[ClassMetrics, ...]
     miap: float
     maap: float
     miar: float
     maar: float
     miaf1: float
     maaf1: float
+
+
+def _ratio(a, b) -> np.ndarray:
+    """Elementwise float64 ``a / b``, with 0 wherever ``b`` is 0."""
+    return np.divide(a, b, out=np.zeros(np.shape(a)), where=b > 0)
+
+
+def _f1(precision, recall) -> np.ndarray:
+    return _ratio(2 * precision * recall, precision + recall)
 
 
 def micro_macro_report(truths, preds, n_classes: int, mode: str = EVAL_ALL) -> EvalReport:
@@ -63,49 +64,27 @@ def micro_macro_report(truths, preds, n_classes: int, mode: str = EVAL_ALL) -> E
     ):
         raise EvaluationError("class out of range")
 
-    tp = np.zeros(n_classes, dtype=np.int64)
-    fp = np.zeros(n_classes, dtype=np.int64)
-    fn = np.zeros(n_classes, dtype=np.int64)
-    support = np.bincount(truths, minlength=n_classes)
-    for t, p in zip(truths, preds):
-        if t == p:
-            tp[t] += 1
-        else:
-            fp[p] += 1
-            fn[t] += 1
+    # confusion[t, p]: how many instances of class t were predicted as p
+    confusion = np.bincount(truths * n_classes + preds, minlength=n_classes**2).reshape(n_classes, n_classes)
+    tp = np.diag(confusion)
+    support = confusion.sum(axis=1)
+    precision = _ratio(tp, confusion.sum(axis=0))
+    recall = _ratio(tp, support)
+    f1 = _f1(precision, recall)
 
-    def safe_div(a, b):
-        return float(a) / float(b) if b else 0.0
+    # macro values: means over the classes that occur in the test set (0 when none do)
+    supported = support > 0
+    maap, maar, maaf1 = (float(_ratio(v[supported].sum(), supported.sum())) for v in (precision, recall, f1))
 
-    per_class = []
-    for c in range(n_classes):
-        precision = safe_div(tp[c], tp[c] + fp[c])
-        recall = safe_div(tp[c], tp[c] + fn[c])
-        f1 = safe_div(2 * precision * recall, precision + recall) if precision + recall else 0.0
-        per_class.append(ClassMetrics(precision, recall, f1, int(support[c])))
-
-    supported = [c for c in range(n_classes) if support[c] > 0]
-    if supported:
-        maap = float(np.mean([per_class[c].precision for c in supported]))
-        maar = float(np.mean([per_class[c].recall for c in supported]))
-        maaf1 = float(np.mean([per_class[c].f1 for c in supported]))
-    else:
-        maap = maar = maaf1 = 0.0
-
-    micro_tp, micro_fp, micro_fn = int(tp.sum()), int(fp.sum()), int(fn.sum())
-    miap = safe_div(micro_tp, micro_tp + micro_fp)
-    miar = safe_div(micro_tp, micro_tp + micro_fn)
-    miaf1 = safe_div(2 * miap * miar, miap + miar) if miap + miar else 0.0
-
+    accuracy = float(_ratio(tp.sum(), truths.size))
     return EvalReport(
         mode=mode,
         instance_count=int(truths.size),
-        per_class=tuple(per_class),
-        miap=miap,
+        miap=accuracy,
         maap=maap,
-        miar=miar,
+        miar=accuracy,
         maar=maar,
-        miaf1=miaf1,
+        miaf1=float(_f1(accuracy, accuracy)),  # 2a*a/(a+a) can round off a in its last bit
         maaf1=maaf1,
     )
 

@@ -1,10 +1,10 @@
 """Name normalization, variate derivation and the author registry.
 
 Every author is reachable under two name variates: the full normalized name
-and the atomic variate (first-name initial plus last name).  The registry
-indexes both, so ``predict.route_name`` can tell how many known authors a
-name string corresponds to: 0 means a new author, 1 means a direct
-assignment, and more than 1 means a block model has to decide.
+and the atomic variate, a two-token ``NormalizedName`` (first-name initial
+plus last name).  The registry indexes both, so ``predict.route_name`` can
+tell how many known authors a name string corresponds to: 0 means a new
+author, 1 a direct assignment, and more than 1 means a block model decides.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ class NormalizedName:
         """All tokens but the last, space-joined; empty for single-token names."""
         return " ".join(self.tokens[:-1])
 
-    @property
-    def last_name(self) -> str:
-        return self.tokens[-1]
-
 
 def normalize_name(raw: str) -> NormalizedName:
     """Canonicalize a printed name: NFC, suffix digits dropped, periods
@@ -59,27 +55,13 @@ def normalize_name(raw: str) -> NormalizedName:
     return NormalizedName(tokens)
 
 
-@dataclass(frozen=True)
-class AtomicVariate:
-    """Most abbreviated form of a name: uppercased initial plus last token."""
-
-    initial: str
-    last: str
-
-    def render(self) -> str:
-        return f"{self.initial} {self.last}"
-
-    def key(self) -> str:
-        return self.render().casefold()
-
-
-def atomic_variate(name: NormalizedName) -> AtomicVariate:
+def atomic_variate(name: NormalizedName) -> NormalizedName:
     """First character of the first token, uppercased, plus the last token.
 
     Single-token names use that token for both roles, so "Madonna" maps to
     "M Madonna"; this keeps the function total for degenerate inputs.
     """
-    return AtomicVariate(initial=name.tokens[0][0].upper(), last=name.tokens[-1])
+    return NormalizedName((name.tokens[0][0].upper(), name.tokens[-1]))
 
 
 @dataclass(frozen=True)
@@ -100,7 +82,7 @@ def name_forms(name: NormalizedName) -> NameForms:
         full=name.render(),
         anv=atom.render(),
         full_first=name.first_name,
-        anv_first=atom.initial,
+        anv_first=atom.first_name,
     )
 
 
@@ -134,10 +116,6 @@ class AuthorRegistry:
     @property
     def variate_count(self) -> int:
         return len(self._atomic_keys)
-
-    def atomic_keys(self) -> set[str]:
-        """Case-folded keys of every atomic variate seen (the block keys)."""
-        return set(self._atomic_keys)
 
     def add_author(self, author: AuthorId) -> None:
         if author in self.authors:

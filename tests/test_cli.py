@@ -1097,6 +1097,30 @@ class TestConfigFile:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {cfg}:2: not UTF-8: ")
 
+    def test_config_error_goes_to_the_files_own_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=abc\nmanifest=wanted.ndjson\n", "utf-8")
+        rc = main(["stats", "--config", str(cfg)])
+        assert_operational_error(rc, capsys, tmp_path / "wanted.ndjson")
+        assert not (tmp_path / "runs.ndjson").exists()
+
+    def test_config_that_does_not_parse_goes_to_the_default_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("manifest=wanted.ndjson\nseed=1\nseed=2\n", "utf-8")
+        rc = main(["stats", "--config", str(cfg)])
+        assert_operational_error(rc, capsys, tmp_path / "runs.ndjson")
+        assert not (tmp_path / "wanted.ndjson").exists()
+
+    def test_manifest_flag_beats_the_files_manifest(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed=abc\nmanifest=wanted.ndjson\n", "utf-8")
+        rc = main(["stats", "--config", str(cfg), "--manifest", "flag.ndjson"])
+        assert_operational_error(rc, capsys, tmp_path / "flag.ndjson")
+        assert not (tmp_path / "wanted.ndjson").exists()
+
 
 class TestManifest:
     def test_every_run_appends_one_entry(self, ws, tmp_path, capsys):

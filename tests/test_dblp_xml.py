@@ -144,6 +144,42 @@ class TestErrors:
             parse(xml)
 
 
+BAD_ARTICLE = "<article key='k/bad'><title>T</journal></article>"
+
+
+def two_chunk_document(bad_at=None):
+    """About 105 KB of articles, so the parser reads it as one full 64 KiB
+    chunk and a shorter second one; ``bad_at`` swaps one article for a
+    mismatched tag."""
+    articles = [ARTICLE] * 640
+    if bad_at is not None:
+        articles[bad_at] = BAD_ARTICLE
+    xml = wrap(*articles)
+    assert 65536 < len(xml.encode("utf-8")) < 2 * 65536
+    return xml
+
+
+class TestErrorOffsets:
+    """An error reports the bytes fed when it surfaced: all chunks up to and
+    including the one that holds it."""
+
+    def offset(self, xml):
+        with pytest.raises(DblpParseError) as err:
+            parse(xml)
+        return err.value.byte_offset
+
+    def test_error_in_first_chunk(self):
+        assert self.offset(two_chunk_document(bad_at=1)) == 65536
+
+    def test_error_in_last_chunk(self):
+        xml = two_chunk_document(bad_at=-2)
+        assert self.offset(xml) == len(xml.encode("utf-8"))
+
+    def test_truncated_document_fails_at_close(self):
+        xml = two_chunk_document().removesuffix("</dblp>")
+        assert self.offset(xml) == len(xml.encode("utf-8"))
+
+
 @pytest.fixture(scope="module")
 def parsed():
     import json

@@ -45,7 +45,7 @@ class TestNormalizeName:
     def test_first_and_last_parts(self):
         n = normalize_name("Ana Maria Silva")
         assert n.first_name == "Ana Maria"
-        assert n.last_name == "Silva"
+        assert n.tokens[-1] == "Silva"
 
     def test_single_token_first_name_empty(self):
         assert normalize_name("Madonna").first_name == ""
@@ -125,7 +125,12 @@ class TestRegistry:
 
     def test_atomic_keys(self):
         reg = self.build()
-        assert reg.atomic_keys() == {"l wang", "b li", "m madonna"}
+        assert {atomic_variate(normalize_name(a.base_name)).key() for a in reg.authors} == {
+            "l wang",
+            "b li",
+            "m madonna",
+        }
+        assert reg.variate_count == 3
 
     def test_registry_idempotent_under_repeat(self):
         corpus = [record("k1", "Lei Wang"), record("k2", "Lei Wang")]
