@@ -115,15 +115,17 @@ def _check_encoders(bundle: CheckpointBundle, checkpoint: str, encoders: Encoder
 
 
 def _encoder_counts(encoders: Encoders) -> dict:
-    """For the manifest: the fallback lookups of each embedding table in use,
-    and the cache hit rate of each hashing encoder (a table's fallback sees
-    only the table's misses); a rate is null when its encoder was not called."""
+    """For the manifest: the fallback lookups of each embedding table in use
+    (on the text side one per distinct title or source per ``text_input``
+    call), and the hit rate of the hashing name encoder's cache (a table's
+    fallback sees only the table's misses), null when it was not called.
+    The text encoder keeps no cache and so reports no rate."""
     counts = {}
     for kind, encoder in (("name", encoders.name), ("text", encoders.text)):
         if isinstance(encoder, TableEncoder):
             counts[f"{kind}_table_misses"] = encoder.miss_count
-            encoder = encoder.fallback
-        counts[f"{kind}_cache_hit_rate"] = encoder.hit_rate
+    name = encoders.name
+    counts["name_cache_hit_rate"] = (name.fallback if isinstance(name, TableEncoder) else name).hit_rate
     return counts
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 NAME_DIM = 200
 TEXT_DIM = 768
-# distinct strings an encoder instance keeps encoded; later ones are re-encoded
+# distinct names a name encoder keeps encoded; later ones are re-encoded
 CACHE_SIZE = 1 << 17
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -53,9 +53,19 @@ def _finalize(vec: np.ndarray) -> np.ndarray:
     return vec
 
 
-class _CachedEncoder:
-    """Memoizes ``_encode`` for the first ``CACHE_SIZE`` distinct strings,
-    counting the ``calls`` and the ``hits`` served from the cache."""
+class HashingNameEncoder:
+    """Character n-gram (n=1..3) hashing into 200 signed buckets.
+
+    Words are wrapped in boundary markers before n-gram extraction and the
+    input is lowercased, so "J Lee" and "j lee" encode identically.  Output
+    has unit L2 norm; the empty string maps to the zero vector.
+
+    The encoder memoizes its first ``CACHE_SIZE`` distinct names, counting
+    the ``calls`` and the ``hits`` served from the cache: a block's names
+    recur across its entries and across the records a resolve run serves.
+    """
+
+    dim = NAME_DIM
 
     def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
@@ -78,17 +88,6 @@ class _CachedEncoder:
         """Share of calls served from the cache; None before the first call."""
         return self.hits / self.calls if self.calls else None
 
-
-class HashingNameEncoder(_CachedEncoder):
-    """Character n-gram (n=1..3) hashing into 200 signed buckets.
-
-    Words are wrapped in boundary markers before n-gram extraction and the
-    input is lowercased, so "J Lee" and "j lee" encode identically.  Output
-    has unit L2 norm; the empty string maps to the zero vector.
-    """
-
-    dim = NAME_DIM
-
     def _encode(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
         counts: dict[str, int] = {}
@@ -104,17 +103,21 @@ class HashingNameEncoder(_CachedEncoder):
         return _finalize(vec)
 
 
-class HashingTextEncoder(_CachedEncoder):
+class HashingTextEncoder:
     """Token hashing into 768 signed buckets with mean pooling.
 
     Lowercases, splits on non-alphanumerics, maps each token occurrence to
     one signed bucket, averages over tokens and L2-normalizes.  Blank text
     maps to the zero vector.  Pooling makes the vector order-insensitive.
+
+    It keeps no vectors: titles are nearly all distinct, so a cache would
+    hold a second, float64 copy of every text row a sample bank stores.
+    :func:`text_input` encodes each distinct string once per call instead.
     """
 
     dim = TEXT_DIM
 
-    def _encode(self, text: str) -> np.ndarray:
+    def __call__(self, text: str) -> np.ndarray:
         vec = np.zeros(self.dim)
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
@@ -252,12 +255,23 @@ def text_input(
     signal rather than renormalizing.  Each row is summed and halved in
     float64 and rounded once as it is stored, so a float32 row holds the
     bits of the float64 row cast, and no float64 matrix the size of the
-    output is built.
+    output is built.  Each distinct string is encoded once per call, and
+    its vector is kept only until the last row that reads it, so a call
+    holds the vectors of the strings that recur, such as venues, and not
+    one per title.
     """
+    last_row = {text: i for i, pair in enumerate(zip(titles, sources)) for text in pair}
+    vectors: dict[str, np.ndarray] = {}
     out = np.empty((len(titles), text_encoder.dim), dtype)
     row = np.empty(text_encoder.dim)
     for i, (title, source) in enumerate(zip(titles, sources)):
-        np.add(text_encoder(title), text_encoder(source), out=row)
+        for text in (title, source):
+            if text not in vectors:
+                vectors[text] = text_encoder(text)
+        np.add(vectors[title], vectors[source], out=row)
         row *= 0.5
         out[i] = row
+        for text in (title, source):
+            if last_row[text] == i:
+                vectors.pop(text, None)
     return out

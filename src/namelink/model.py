@@ -20,12 +20,14 @@ once, which gives the bits a cast of the float64 row would.
 
 The training step allocates little: each layer's ReLU runs in place on its
 pre-activation, so the forward pass keeps one array per layer, and backprop
-takes the ReLU mask from that activation.  Backprop writes each layer's
-weight and bias gradient straight into its view of one flat gradient vector
-and skips the gradient with respect to the network's inputs, which nothing
-reads.  The Adam update then runs in place on the parameters and moments,
-one cache-sized slice at a time, using that gradient vector as scratch plus
-one slice-sized buffer.
+takes the ReLU mask from that activation.  Each branch's last layer writes
+straight into its half of the merge input, so joining the branches copies
+nothing, and an inference pass keeps only the running activation after the
+merge.  Backprop writes each layer's weight and bias gradient straight into
+its view of one flat gradient vector and skips the gradient with respect to
+the network's inputs, which nothing reads.  The Adam update then runs in
+place on the parameters and moments, one cache-sized slice at a time, using
+that gradient vector as scratch plus one slice-sized buffer.
 
 ``forward_batch`` is the forward pass of training and of plain batches.  Its
 layer helpers (``split_layers``, ``run_stack``, ``softmax``) are shared with
@@ -85,20 +87,23 @@ class ModelConfig:
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
+    @property
+    def branch_widths(self) -> tuple[int, int]:
+        """The output width of branch one and of branch two, the two halves
+        of the merge input: a branch's last layer width, or its input's."""
+        return (
+            self.branch1_hidden[-1] if self.branch1_hidden else self.input1_dim,
+            self.branch2_hidden[-1] if self.branch2_hidden else self.input2_dim,
+        )
+
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(n_in, n_out) per layer: branch one, branch two, merged, output."""
         shapes: list[tuple[int, int]] = []
-        d = self.input1_dim
-        for width in self.branch1_hidden:
-            shapes.append((d, width))
-            d = width
-        b1_out = d
-        d = self.input2_dim
-        for width in self.branch2_hidden:
-            shapes.append((d, width))
-            d = width
-        b2_out = d
-        d = b1_out + b2_out
+        for d, hidden in ((self.input1_dim, self.branch1_hidden), (self.input2_dim, self.branch2_hidden)):
+            for width in hidden:
+                shapes.append((d, width))
+                d = width
+        d = sum(self.branch_widths)
         for width in self.merged_hidden:
             shapes.append((d, width))
             d = width
@@ -166,16 +171,26 @@ def split_layers(config: ModelConfig, w: list[np.ndarray], b: list[np.ndarray]):
     )
 
 
-def run_stack(x: np.ndarray, ws, bs) -> list[np.ndarray]:
+def relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``relu(x @ w + b)``, written into ``out`` when given.  The ReLU runs
+    in place on the pre-activation, so no pre-activation is kept; backprop
+    reads a layer's ReLU mask from its activation instead, since
+    ``relu(z) > 0`` is ``z > 0``, NaN included."""
+    z = np.matmul(x, w, out=out)
+    z += b
+    return np.maximum(z, 0.0, out=z)
+
+
+def run_stack(x: np.ndarray, ws, bs, out: np.ndarray | None = None) -> list[np.ndarray]:
     """Run ``x`` through a stack of ReLU layers: the activations, input
-    first.  Each layer's ReLU runs in place on its pre-activation, so no
-    pre-activation is kept; backprop reads a layer's ReLU mask from its
-    activation instead, since ``relu(z) > 0`` is ``z > 0``, NaN included."""
+    first.  With ``out``, the stack's result is written into it: the last
+    layer's activation, which is then ``out`` itself, or a copy of ``x``
+    when the stack has no layers."""
     acts = [x]
-    for w, b in zip(ws, bs):
-        z = acts[-1] @ w
-        z += b
-        acts.append(np.maximum(z, 0.0, out=z))
+    for i, (w, b) in enumerate(zip(ws, bs)):
+        acts.append(relu_layer(acts[-1], w, b, out if i == len(ws) - 1 else None))
+    if out is not None and not ws:
+        out[...] = x
     return acts
 
 
@@ -203,7 +218,10 @@ def forward_batch(
     ``mode`` "train" applies inverted dropout (needs ``rng``, from which it
     draws float64 uniforms whatever the dtype) and returns the cache
     backprop needs: the inputs and every layer's activation, but no
-    pre-activation; "infer" is deterministic and returns no cache.
+    pre-activation; each branch's last activation is its half of the merge
+    input, the merged stack's first array.  "infer" is deterministic,
+    returns no cache and frees each activation once the next layer has read
+    it.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -223,20 +241,29 @@ def forward_batch(
 
     (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(cfg, params.weights, params.biases)
 
-    b1_acts = run_stack(x1, w1s, b1s)
-    b2_acts = run_stack(x2, w2s, b2s)
+    # each branch writes its result into its half of the merge input
+    split = cfg.branch_widths[0]
+    merge = np.empty((x1.shape[0], sum(cfg.branch_widths)), dtype)
+    b1_acts = run_stack(x1, w1s, b1s, out=merge[:, :split])
+    b2_acts = run_stack(x2, w2s, b2s, out=merge[:, split:])
 
-    concat = np.concatenate([b1_acts[-1], b2_acts[-1]], axis=1)
-    m_acts = run_stack(concat, wms, bms)
-
-    last_hidden = m_acts[-1]
+    if train:
+        m_acts = run_stack(merge, wms, bms)
+        last_hidden = m_acts[-1]
+    else:
+        # only the running activation stays referenced, so each array is freed once read
+        last_hidden = merge
+        del merge, b1_acts, b2_acts
+        for w, b in zip(wms, bms):
+            last_hidden = relu_layer(last_hidden, w, b)
     mask_last = None
     if use_dropout:
         mask_last = (rng.random(last_hidden.shape) >= cfg.dropout_rate).astype(dtype)
         mask_last /= 1.0 - cfg.dropout_rate
         last_hidden = last_hidden * mask_last
 
-    logits = last_hidden @ w_out + b_out
+    logits = last_hidden @ w_out
+    logits += b_out
     probs = softmax(logits)
 
     if not train:
@@ -246,7 +273,6 @@ def forward_batch(
         "x2": x2,
         "b1_acts": b1_acts,
         "b2_acts": b2_acts,
-        "concat": concat,
         "m_acts": m_acts,
         "last_hidden": last_hidden,
         "mask_last": mask_last,
@@ -309,9 +335,9 @@ def loss_and_gradients_batch(
                 dh = dz @ ws[i].T
         return dh
 
-    d_concat = back_stack(dh, wms, cache["m_acts"], gwm, gbm, input_grad=True)
-    split = cache["b1_acts"][-1].shape[1]
-    d1, d2 = d_concat[:, :split], d_concat[:, split:]
+    d_merge = back_stack(dh, wms, cache["m_acts"], gwm, gbm, input_grad=True)
+    split = cfg.branch_widths[0]
+    d1, d2 = d_merge[:, :split], d_merge[:, split:]
     # nothing reads the gradient with respect to x1 or x2
     back_stack(d1, w1s, cache["b1_acts"], gw1, gb1, input_grad=False)
     back_stack(d2, w2s, cache["b2_acts"], gw2, gb2, input_grad=False)

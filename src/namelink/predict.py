@@ -182,7 +182,7 @@ def forward_batched(
     (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(cfg, params.weights, params.biases)
     # the layer that takes the concatenation: the first merged layer, or the output layer
     w_cat, b_cat = (wms[0], bms[0]) if wms else (w_out, b_out)
-    split = cfg.branch1_hidden[-1] if cfg.branch1_hidden else cfg.input1_dim
+    split = cfg.branch_widths[0]
     w_cat1 = w_cat[:split]
     text_out = run_stack(text_row, w2s, b2s)[-1]
     cat_bias = text_out @ w_cat[split:] + b_cat

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -204,6 +205,28 @@ class TestAssembleFeatures:
         enc = default_encoders()
         x2 = text_input(enc.text, ["some title"], [""])
         np.testing.assert_allclose(x2[0], 0.5 * enc.text("some title"), atol=1e-15)
+
+    def test_each_distinct_string_encoded_once_per_call(self):
+        enc = HashingTextEncoder()
+        seen, alive, refs = [], [], {}
+
+        def counting(text):
+            seen.append(text)
+            alive.append(sorted(t for t, ref in refs.items() if ref() is not None))
+            vec = enc(text)
+            refs[text] = weakref.ref(vec)
+            return vec
+
+        counting.dim = TEXT_DIM
+        titles, sources = ["alpha beta", "gamma", "alpha beta"], ["VLDB", "VLDB", ""]
+        x2 = text_input(counting, titles, sources)
+        assert seen == ["alpha beta", "VLDB", "gamma", ""]
+        # a vector is dropped after the last row that reads it
+        assert alive[-1] == ["alpha beta"]
+        np.testing.assert_array_equal(x2[2], 0.5 * (enc("alpha beta") + enc("")))
+        # nothing is kept between calls
+        text_input(counting, titles, sources)
+        assert len(seen) == 8
 
     def test_text_rows_follow_records(self):
         enc = default_encoders()

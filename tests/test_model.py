@@ -255,13 +255,8 @@ class TestLossAndGradients:
             fd = (loss_at(up) - loss_at(down)) / (2.0 * h)
             assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-9)
 
-    def test_finite_difference_gradient_two_layer_branches(self):
-        """Every coordinate, on a topology where each branch has a hidden
-        layer between its input layer and the merge."""
-        cfg = ModelConfig(
-            n_classes=3, input1_dim=4, input2_dim=3, branch1_hidden=(5, 4), branch2_hidden=(4, 3),
-            merged_hidden=(4,), dropout_rate=0.0,
-        )
+    @staticmethod
+    def check_every_coordinate(cfg):
         params = init_model(cfg)
         # nonzero biases: a row whose hidden units are all off would put z
         # exactly on the ReLU kink, where the central difference is wrong
@@ -280,6 +275,26 @@ class TestLossAndGradients:
                 - loss_and_gradients_batch(ModelParams(cfg, down), x1, x2, labels, weights)[0]
             ) / (2.0 * h)
             assert grad[k] == pytest.approx(fd, rel=5e-5, abs=1e-9)
+
+    def test_finite_difference_gradient_two_layer_branches(self):
+        """Every coordinate, on a topology where each branch has a hidden
+        layer between its input layer and the merge."""
+        self.check_every_coordinate(
+            ModelConfig(
+                n_classes=3, input1_dim=4, input2_dim=3, branch1_hidden=(5, 4), branch2_hidden=(4, 3),
+                merged_hidden=(4,), dropout_rate=0.0,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "empty", [{"branch1_hidden": ()}, {"branch2_hidden": ()}, {"merged_hidden": ()}],
+        ids=["no-branch1", "no-branch2", "no-merged"],
+    )
+    def test_finite_difference_gradient_with_an_empty_stack(self, empty):
+        """Every coordinate, where a branch with no layers copies its input
+        into its half of the merge input, or the output layer reads it."""
+        layers = {"branch1_hidden": (5,), "branch2_hidden": (4,), "merged_hidden": (4,), **empty}
+        self.check_every_coordinate(ModelConfig(n_classes=3, input1_dim=4, input2_dim=3, dropout_rate=0.0, **layers))
 
     def test_float32_matches_float64_on_same_parameters(self):
         """The float32 loss and gradient track float64 on parameters and

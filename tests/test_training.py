@@ -385,10 +385,21 @@ class TestSampleBankMemory:
             if isinstance(value, np.ndarray) and value.ndim == 2 and len(value) == bank.n_samples:
                 assert not (np.issubdtype(value.dtype, np.floating) and value.shape[1] > 1), name
 
+    def test_text_encoder_holds_no_vectors_after_a_build(self):
+        block = self.make_block()
+        enc = default_encoders()
+        SampleBank(block.entries, block.class_index, enc)
+
+        def holds_vectors(encoder):
+            return any(isinstance(v, (dict, list, np.ndarray)) and len(v) for v in vars(encoder).values())
+
+        assert holds_vectors(enc.name)  # the name cache, which the check must see
+        assert not holds_vectors(enc.text)
+
     def test_traced_peak_is_per_entry_and_per_name(self):
         block = self.make_block()
         enc = default_encoders()
-        # the first build fills the encoders' caches, which the bank does not own
+        # the first build fills the name encoder's cache, which the bank does not own
         SampleBank(block.entries, block.class_index, enc)
         tracemalloc.start()
         try:
@@ -407,8 +418,9 @@ class TestSampleBankMemory:
 
 
 class TestEvaluateBankMemory:
-    """Scoring a bank holds one batch of float32 rows and one float32
-    activation per layer, nothing in float64 and no pre-activation."""
+    """Scoring a bank holds one batch of float32 rows and at most one
+    float32 activation per layer, nothing in float64, no pre-activation and
+    no branch output apart from the merge input it is written into."""
 
     # allocations besides the arrays counted: index arrays, Python objects
     SLACK = 256 * 1024
@@ -429,10 +441,11 @@ class TestEvaluateBankMemory:
         finally:
             tracemalloc.stop()
         row_bytes = 4 * EVAL_BATCH * (cfg.input1_dim + cfg.input2_dim)
-        # every layer's output, the concatenation the merged stack reads, and the probabilities
-        widths = sum(n_out for _, n_out in cfg.layer_shapes())
-        concat = cfg.branch1_hidden[-1] + cfg.branch2_hidden[-1]
-        activation_bytes = 4 * EVAL_BATCH * (widths + concat + cfg.n_classes)
+        # the merge input, which holds both branch outputs, every merged
+        # layer's output and the logits, and the probabilities
+        merge = cfg.branch1_hidden[-1] + cfg.branch2_hidden[-1]
+        merged_widths = sum(n_out for _, n_out in cfg.layer_shapes()[-len(cfg.merged_hidden) - 1 :])
+        activation_bytes = 4 * EVAL_BATCH * (merge + merged_widths + cfg.n_classes)
         assert peak - before < row_bytes + activation_bytes + self.SLACK
 
 
