@@ -223,12 +223,14 @@ def _cmd_ingest(args) -> dict:
     print(f"skipped (no title/authors/key)\t{counters.skipped}")
     print(f"skipped other kinds\t{counters.skipped_other_kinds}")
     print(f"records with empty source\t{counters.empty_source}")
+    print(f"dropped author mentions\t{counters.dropped_author_mentions}")
     return {
         "records": summary.records,
         "author_mentions": summary.author_mentions,
         "skipped": counters.skipped,
         "skipped_other_kinds": counters.skipped_other_kinds,
         "empty_source": counters.empty_source,
+        "dropped_author_mentions": counters.dropped_author_mentions,
         "out": args.out,
     }
 

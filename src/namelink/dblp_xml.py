@@ -20,6 +20,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import BinaryIO, Iterable, Iterator
 
+from .names import normalize_name
 from .records import DEFAULT_KINDS, AuthorMention, BibRecord
 
 _CHUNK_SIZE = 64 * 1024
@@ -40,7 +41,12 @@ class DblpParseError(Exception):
 
 @dataclass
 class ParseCounters:
-    """Tally of what the parser saw and why records were skipped."""
+    """Tally of what the parser saw and why records were skipped.
+
+    ``dropped_author_mentions`` counts ``<author>`` elements left out of
+    their record because the name is empty or normalizes to nothing ("-",
+    "."); a record left with no author counts in ``skipped_missing_authors``.
+    """
 
     records: int = 0
     skipped_missing_title: int = 0
@@ -48,6 +54,7 @@ class ParseCounters:
     skipped_missing_key: int = 0
     skipped_other_kinds: int = 0
     empty_source: int = 0
+    dropped_author_mentions: int = 0
 
     @property
     def skipped(self) -> int:
@@ -72,7 +79,12 @@ def _record_from_element(elem: ET.Element, counters: ParseCounters) -> BibRecord
         tag = child.tag
         if tag == "author":
             text = _element_text(child)
-            if text:
+            try:
+                normalize_name(text)
+            except ValueError:
+                # names nobody: the registry and every block would reject it
+                counters.dropped_author_mentions += 1
+            else:
                 authors.append(AuthorMention.from_raw(text))
         elif tag == "title":
             title = _element_text(child)

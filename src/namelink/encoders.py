@@ -29,7 +29,8 @@ import numpy as np
 
 NAME_DIM = 200
 TEXT_DIM = 768
-# distinct names a name encoder keeps encoded; later ones are re-encoded
+# distinct names a name encoder keeps encoded, and distinct grams or tokens
+# an encoder keeps hashed; later ones are recomputed on every call
 CACHE_SIZE = 1 << 17
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -43,6 +44,28 @@ def _signed_bucket(data: str, n_buckets: int) -> tuple[int, float]:
     bucket = value % n_buckets
     sign = 1.0 if (value >> 63) & 1 else -1.0
     return bucket, sign
+
+
+def _bucket_sums(memo: dict[str, tuple[int, float]], strings: Sequence[str], n_buckets: int) -> np.ndarray:
+    """The float64 vector holding in each bucket the sum of the signs of the
+    strings, one per occurrence, hashed to it.  Every partial sum is a small
+    integer and so exact, which makes the vector the same in any order.
+
+    ``memo`` keeps the (bucket, sign) of the first ``CACHE_SIZE`` distinct
+    strings it is asked for; the others are hashed again on every call.
+    """
+    if not strings:
+        return np.zeros(n_buckets)
+    hits = []
+    for data in strings:
+        hit = memo.get(data)
+        if hit is None:
+            hit = _signed_bucket(data, n_buckets)
+            if len(memo) < CACHE_SIZE:
+                memo[data] = hit
+        hits.append(hit)
+    buckets, signs = zip(*hits)
+    return np.bincount(buckets, weights=signs, minlength=n_buckets)
 
 
 def _finalize(vec: np.ndarray) -> np.ndarray:
@@ -63,12 +86,16 @@ class HashingNameEncoder:
     The encoder memoizes its first ``CACHE_SIZE`` distinct names, counting
     the ``calls`` and the ``hits`` served from the cache: a block's names
     recur across its entries and across the records a resolve run serves.
+    A name it has not seen is built from n-grams that other names share, so
+    it also keeps the (bucket, sign) of its first ``CACHE_SIZE`` distinct
+    n-grams.  Both memos belong to the instance: a new encoder starts cold.
     """
 
     dim = NAME_DIM
 
     def __init__(self):
         self._cache: dict[str, np.ndarray] = {}
+        self._buckets: dict[str, tuple[int, float]] = {}
         self.calls = 0
         self.hits = 0
 
@@ -89,18 +116,9 @@ class HashingNameEncoder:
         return self.hits / self.calls if self.calls else None
 
     def _encode(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
-        counts: dict[str, int] = {}
-        for word in text.lower().split():
-            marked = f"^{word}$"
-            for n in (1, 2, 3):
-                for i in range(len(marked) - n + 1):
-                    gram = marked[i : i + n]
-                    counts[gram] = counts.get(gram, 0) + 1
-        for gram, count in counts.items():
-            bucket, sign = _signed_bucket(gram, self.dim)
-            vec[bucket] += sign * count
-        return _finalize(vec)
+        marked = [f"^{word}$" for word in text.lower().split()]
+        grams = [w[i : i + n] for w in marked for n in (1, 2, 3) for i in range(len(w) - n + 1)]
+        return _finalize(_bucket_sums(self._buckets, grams, self.dim))
 
 
 class HashingTextEncoder:
@@ -113,20 +131,20 @@ class HashingTextEncoder:
     It keeps no vectors: titles are nearly all distinct, so a cache would
     hold a second, float64 copy of every text row a sample bank stores.
     :func:`text_input` encodes each distinct string once per call instead.
+    Tokens do recur across titles, so the encoder keeps the (bucket, sign)
+    of its first ``CACHE_SIZE`` distinct tokens, per instance.
     """
 
     dim = TEXT_DIM
 
+    def __init__(self):
+        self._buckets: dict[str, tuple[int, float]] = {}
+
     def __call__(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim)
         tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens:
-            _finalize(vec)
-            return vec
-        for token in tokens:
-            bucket, sign = _signed_bucket(token, self.dim)
-            vec[bucket] += sign
-        vec /= len(tokens)
+        vec = _bucket_sums(self._buckets, tokens, self.dim)
+        if tokens:
+            vec /= len(tokens)
         return _finalize(vec)
 
 

@@ -9,14 +9,11 @@ author, 1 a direct assignment, and more than 1 means a block model decides.
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .records import AuthorId, BibRecord, parse_author_id
-
-_WS_RE = re.compile(r"\s+")
 
 
 @dataclass(frozen=True)
@@ -44,12 +41,12 @@ def normalize_name(raw: str) -> NormalizedName:
 
     Raises ValueError when nothing survives normalization.
     """
-    if not raw or not raw.strip():
+    stripped = raw.strip()
+    if not stripped:
         raise ValueError("name is empty")
-    text = unicodedata.normalize("NFC", raw.strip())
+    text = unicodedata.normalize("NFC", stripped)
     text = parse_author_id(text).base_name  # strip "… 0001" display suffixes
-    text = text.replace(".", "").replace("-", " ")
-    tokens = tuple(t for t in _WS_RE.split(text) if t)
+    tokens = tuple(text.replace(".", "").replace("-", " ").split())
     if not tokens:
         raise ValueError(f"name {raw!r} is empty after normalization")
     return NormalizedName(tokens)
@@ -77,12 +74,14 @@ class NameForms:
 
 
 def name_forms(name: NormalizedName) -> NameForms:
-    atom = atomic_variate(name)
+    """The renderings and first names of ``name`` and of its atomic variate."""
+    tokens = name.tokens
+    initial = tokens[0][0].upper()
     return NameForms(
-        full=name.render(),
-        anv=atom.render(),
-        full_first=name.first_name,
-        anv_first=atom.first_name,
+        full=" ".join(tokens),
+        anv=f"{initial} {tokens[-1]}",
+        full_first=" ".join(tokens[:-1]),
+        anv_first=initial,
     )
 
 

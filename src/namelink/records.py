@@ -32,9 +32,13 @@ def parse_author_id(raw: str) -> AuthorId:
 
     Only a trailing space plus exactly four digits counts as a suffix.  A
     "0000" group is left in the name: no real record uses it and treating it
-    as a suffix would break render/parse round-tripping.
+    as a suffix would break render/parse round-tripping.  Most names end in
+    a letter, and those are returned without running the suffix pattern.
     """
     raw = raw.strip()
+    # str.isdecimal is the regex's \d: Unicode category Nd
+    if not raw[-1:].isdecimal():
+        return AuthorId(raw, 0)
     m = _SUFFIX_RE.match(raw)
     if m and int(m.group("digits")) > 0:
         return AuthorId(m.group("base"), int(m.group("digits")))

@@ -423,9 +423,10 @@ def train_block_model(
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             adam_step(params, grad, adam)
+            # freed now, not when the next step's gradient replaces it: the
+            # two would otherwise be alive together, one parameter vector more
+            del grad
             epoch_loss += loss * idx.size
-        # the last step's gradient would otherwise stay alive through the scoring
-        del grad
         val_loss, val_accuracy = _evaluate_bank(params, val_bank)
         checkpointed = monitor.observe(epoch, val_loss, val_accuracy)
         if checkpointed:

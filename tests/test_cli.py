@@ -233,6 +233,28 @@ class TestIngest:
         assert rc == 0
         assert "records\t51" in stdout
 
+    def test_author_normalizing_to_nothing_dropped(self, tmp_path, capsys):
+        xml = tmp_path / "dash.xml"
+        xml.write_text(
+            '<?xml version="1.0"?>\n<dblp>'
+            '<article key="k/1"><author>-</author><author>Ann Lee</author><title>T</title></article>'
+            '<article key="k/2"><author>.</author><title>U</title></article>'
+            "</dblp>",
+            "utf-8",
+        )
+        out, manifest = tmp_path / "c.ndjson", tmp_path / "m"
+        assert main(["ingest", "--xml", str(xml), "--out", str(out), "--manifest", str(manifest)]) == 0
+        assert "dropped author mentions\t2" in capsys.readouterr().out
+        (entry,) = manifest_entries(manifest)
+        assert entry["result"]["records"] == 1
+        assert entry["result"]["skipped"] == 1
+        assert entry["result"]["dropped_author_mentions"] == 2
+        # every later command on the store works
+        assert main(["stats", "--corpus", str(out), "--manifest", str(manifest)]) == 0
+        assert "# of records\t1" in capsys.readouterr().out
+        assert main(["predict", "--corpus", str(out), "--name", "Ann Lee", "--manifest", str(manifest)]) == 0
+        assert capsys.readouterr().out.startswith("UNIQUE\tAnn Lee")
+
     def test_failed_ingest_keeps_old_store(self, tmp_path, capsys):
         out = tmp_path / "corpus.ndjson"
         assert main(["ingest", "--xml", FIXTURE_XML, "--out", str(out), "--manifest", str(tmp_path / "m")]) == 0

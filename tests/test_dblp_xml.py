@@ -116,6 +116,19 @@ class TestFilteringAndCounters:
         assert counters.skipped_missing_key == 1
         assert counters.skipped == 3
 
+    def test_author_normalizing_to_nothing_dropped(self):
+        counters = ParseCounters()
+        xml = wrap(
+            '<article key="k/1"><author>-</author><author>A B</author><author>. -</author>'
+            "<author></author><title>T</title></article>",
+            '<article key="k/2"><author>.</author><author>- 0001</author><title>T</title></article>',
+        )
+        (record,) = parse(xml, counters=counters)
+        assert [m.display_name for m in record.authors] == ["A B"]
+        assert counters.dropped_author_mentions == 5
+        assert counters.skipped_missing_authors == 1
+        assert counters.records == 1
+
     def test_empty_source_flagged_not_skipped(self):
         counters = ParseCounters()
         xml = wrap('<article key="k/1"><author>A B</author><title>T</title></article>')

@@ -1,4 +1,5 @@
 import hashlib
+import re
 import weakref
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from namelink import encoders
 from namelink.encoders import (
     NAME_DIM,
     TEXT_DIM,
@@ -13,6 +15,7 @@ from namelink.encoders import (
     HashingNameEncoder,
     HashingTextEncoder,
     TableEncoder,
+    _signed_bucket,
     default_encoders,
     load_embedding_table,
     name_input,
@@ -84,6 +87,77 @@ class TestHashingTextEncoder:
         overlap = cosine(enc("graph neural networks"), enc("neural networks survey"))
         disjoint = cosine(enc("graph neural networks"), enc("database query optimization"))
         assert overlap > disjoint
+
+
+def _unit(vec):
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def reference_name_vector(text):
+    """The n-gram recipe as a plain loop, every gram hashed afresh."""
+    vec = np.zeros(NAME_DIM)
+    counts = {}
+    for word in text.lower().split():
+        marked = f"^{word}$"
+        for n in (1, 2, 3):
+            for i in range(len(marked) - n + 1):
+                gram = marked[i : i + n]
+                counts[gram] = counts.get(gram, 0) + 1
+    for gram, count in counts.items():
+        bucket, sign = _signed_bucket(gram, NAME_DIM)
+        vec[bucket] += sign * count
+    return _unit(vec)
+
+
+def reference_text_vector(text):
+    """The token recipe as a plain loop, every token hashed afresh."""
+    vec = np.zeros(TEXT_DIM)
+    tokens = re.findall(r"[^\W_]+", text.lower())
+    for token in tokens:
+        bucket, sign = _signed_bucket(token, TEXT_DIM)
+        vec[bucket] += sign
+    if tokens:
+        vec /= len(tokens)
+    return _unit(vec)
+
+
+class TestHashMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.text(max_size=30), min_size=1, max_size=6))
+    def test_fresh_warm_and_reference_vectors_equal(self, texts):
+        warm_name, warm_text = HashingNameEncoder(), HashingTextEncoder()
+        for text in texts:
+            warm_name(text)
+            warm_text(text)
+        for text in texts:
+            want_name, want_text = reference_name_vector(text), reference_text_vector(text)
+            # _encode skips the warm encoder's vector cache, so every gram comes from its memo
+            for got in (HashingNameEncoder()(text), warm_name._encode(text)):
+                assert got.tobytes() == want_name.tobytes()
+            for got in (HashingTextEncoder()(text), warm_text(text)):
+                assert got.tobytes() == want_text.tobytes()
+
+    def test_memo_never_exceeds_cache_size(self, monkeypatch):
+        text = " ".join(f"w{i}x" for i in range(50))
+        want_name, want_text = HashingNameEncoder()(text), HashingTextEncoder()(text)
+        monkeypatch.setattr(encoders, "CACHE_SIZE", 8)
+        name, text_enc = HashingNameEncoder(), HashingTextEncoder()
+        for _ in range(2):
+            assert name._encode(text).tobytes() == want_name.tobytes()
+            assert text_enc(text).tobytes() == want_text.tobytes()
+        assert len(name._buckets) == len(text_enc._buckets) == 8
+
+    def test_instances_share_no_memo(self):
+        for cls in (HashingNameEncoder, HashingTextEncoder):
+            a, b = cls(), cls()
+            a("Jun Li")
+            assert a._buckets and not b._buckets
+        first, second = default_encoders(), default_encoders()
+        assert first.name._buckets is not second.name._buckets
+        assert first.text._buckets is not second.text._buckets
 
 
 class TestTableEncoder:

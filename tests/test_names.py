@@ -1,10 +1,21 @@
+import re
+import unicodedata
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from namelink.names import AuthorRegistry, atomic_variate, build_author_registry, name_forms, normalize_name
+from namelink.names import (
+    AuthorRegistry,
+    NameForms,
+    NormalizedName,
+    atomic_variate,
+    build_author_registry,
+    name_forms,
+    normalize_name,
+)
 from namelink.predict import RouteKind, route_name
-from namelink.records import AuthorId, AuthorMention, BibRecord
+from namelink.records import AuthorId, AuthorMention, BibRecord, parse_author_id
 
 
 def record(key: str, *names: str) -> BibRecord:
@@ -51,6 +62,36 @@ class TestNormalizeName:
         assert normalize_name("Madonna").first_name == ""
 
 
+def regex_normalize(raw: str) -> tuple[str, ...]:
+    """normalize_name's tokens, split by the whitespace pattern."""
+    if not raw or not raw.strip():
+        raise ValueError("name is empty")
+    text = unicodedata.normalize("NFC", raw.strip())
+    text = parse_author_id(text).base_name
+    text = text.replace(".", "").replace("-", " ")
+    tokens = tuple(t for t in re.split(r"\s+", text) if t)
+    if not tokens:
+        raise ValueError(f"name {raw!r} is empty after normalization")
+    return tokens
+
+
+class TestNormalizeNameProperty:
+    @given(st.text())
+    @example("A\x1cB")
+    @example("Ann\u00a0Lee\u2003Jr")
+    @example(" - . 0001")
+    @example("Li-Bing 0001\u3000")
+    def test_matches_regex_reference(self, raw):
+        try:
+            want = regex_normalize(raw)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                normalize_name(raw)
+            assert str(err.value) == str(exc)
+        else:
+            assert normalize_name(raw).tokens == want
+
+
 class TestAtomicVariate:
     def test_initial_plus_last(self):
         assert atomic_variate(normalize_name("Lei Wang")).render() == "L Wang"
@@ -75,6 +116,18 @@ class TestAtomicVariate:
     def test_name_forms_columns(self):
         f = name_forms(normalize_name("Lei Wang"))
         assert (f.full, f.anv, f.full_first, f.anv_first) == ("Lei Wang", "L Wang", "Lei", "L")
+
+    @given(
+        st.lists(
+            st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    def test_name_forms_match_atomic_variate_composition(self, tokens):
+        name = NormalizedName(tuple(tokens))
+        atom = atomic_variate(name)
+        assert name_forms(name) == NameForms(name.render(), atom.render(), name.first_name, atom.first_name)
 
 
 class TestRegistry:

@@ -19,6 +19,7 @@ from namelink.model import (
 )
 from namelink.names import atomic_variate, build_author_registry, name_forms, normalize_name
 from namelink.predict import (
+    AGGREGATIONS,
     PredictionError,
     Route,
     RouteKind,
@@ -377,6 +378,33 @@ class TestForwardBatched:
             forward_batched(params, np.zeros(200), np.zeros((3, 199)), text)
         with pytest.raises(ValueError):
             forward_batched(params, np.zeros(200), np.zeros((3, 200)), np.zeros((2, SMALL.input2_dim)))
+
+
+class TestPairIndices:
+    def test_equals_triu_indices(self):
+        for n in range(161):
+            got, want = predict.pair_indices(n), np.triu_indices(n, k=1)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n_names", [2, 17, 96])
+    def test_scores_byte_equal_to_triu_indices_path(self, n_names, monkeypatch):
+        params = init_model(dataclasses.replace(SMALL, seed=n_names))
+        rng = np.random.default_rng(n_names)
+        for b in params.biases:
+            b[...] = rng.normal(0.0, 0.3, size=b.shape)
+        names = ["Wei Fan"] + [f"Co Author{k}" for k in range(n_names - 2)]
+        record = rec("k", *names, title="pair order", source="X")
+        enc = default_encoders()
+        for aggregation in AGGREGATIONS:
+            got = predict_author(params, CLASS_INDEX, record, "W Fan", MODE_FULL, enc, aggregation)
+            with monkeypatch.context() as m:
+                m.setattr(predict, "pair_indices", lambda n: np.triu_indices(n, k=1))
+                want = predict_author(params, CLASS_INDEX, record, "W Fan", MODE_FULL, enc, aggregation)
+            assert got.pair_count == n_names * (n_names - 1) // 2
+            assert got.scores.dtype == want.scores.dtype
+            assert got.scores.tobytes() == want.scores.tobytes()
 
 
 class TestRendering:

@@ -1,5 +1,7 @@
+import re
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from namelink.records import AuthorId, AuthorMention, BibRecord, parse_author_id
@@ -50,6 +52,39 @@ class TestParseAuthorId:
     def test_round_trip_is_identity(self, base, index):
         a = AuthorId(base, index)
         assert parse_author_id(a.render()) == a
+
+
+def regex_parse(raw: str) -> AuthorId:
+    """parse_author_id with the suffix pattern run on every string."""
+    raw = raw.strip()
+    m = re.match(r"^(?P<base>.*\S) (?P<digits>\d{4})$", raw)
+    if m and int(m.group("digits")) > 0:
+        return AuthorId(m.group("base"), int(m.group("digits")))
+    return AuthorId(raw, 0)
+
+
+SUFFIXED = st.builds(
+    lambda base, sep, digits, tail: base + sep + digits + tail,
+    st.text(max_size=12),
+    st.sampled_from(["", " ", "  ", "\t"]),
+    st.one_of(
+        st.sampled_from(["0001", "0000", "9999", "12345", "٠٠٠١", "²²²²", "0²01", "１２３４"]),
+        st.text(alphabet=st.characters(whitelist_categories=("Nd", "No")), max_size=6),
+    ),
+    st.sampled_from(["", " ", "\n", " \t"]),
+)
+
+
+class TestParseAuthorIdFastPath:
+    @given(st.one_of(st.text(), SUFFIXED))
+    @example("Bing Li ٠٠٠١")
+    @example("Bing Li ²")
+    @example("Bing Li 0000")
+    @example("Club 10000")
+    @example("Bing Li 0001 \n")
+    @example("")
+    def test_matches_regex_reference(self, raw):
+        assert parse_author_id(raw) == regex_parse(raw)
 
 
 class TestBibRecord:

@@ -391,7 +391,12 @@ class TestSampleBankMemory:
         SampleBank(block.entries, block.class_index, enc)
 
         def holds_vectors(encoder):
-            return any(isinstance(v, (dict, list, np.ndarray)) and len(v) for v in vars(encoder).values())
+            # an array, or a dict or list holding one; the hash memo holds (bucket, sign) pairs
+            for value in vars(encoder).values():
+                items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else [value]
+                if any(isinstance(item, np.ndarray) and item.size for item in items):
+                    return True
+            return False
 
         assert holds_vectors(enc.name)  # the name cache, which the check must see
         assert not holds_vectors(enc.text)
