@@ -15,8 +15,11 @@ Exit codes: 0 success, 1 operational failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import glob
 import json
+import os
 import re
 import statistics
 import sys
@@ -129,17 +132,40 @@ def _encoder_counts(encoders: Encoders) -> dict:
     return counts
 
 
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS that numpy loaded will use, asked of the library
+    itself through ctypes; None when numpy ships no OpenBLAS or it answers
+    to none of the known names."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libdir, "*openblas*")):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return int(fn())
+    return None
+
+
 def _run_identity(params_dtype: np.dtype) -> dict:
     """What a bit-identical rerun needs besides the inputs and the seed: the
-    model dtype, the numpy version and the BLAS it was built against (the
-    BLAS thread count matters too, but numpy cannot report it).  numpy
-    builds without a build-config record report the BLAS as "unknown"."""
+    model dtype, the numpy version, the BLAS it was built against and the
+    BLAS thread count (null when it cannot be read).  numpy builds without a
+    build-config record report the BLAS as "unknown"."""
     try:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         blas_name = f"{blas['name']} {blas['version']}"
     except (AttributeError, KeyError, TypeError):
         blas_name = "unknown"
-    return {"dtype": str(params_dtype), "numpy": np.__version__, "blas": blas_name}
+    return {
+        "dtype": str(params_dtype),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "blas_threads": _blas_threads(),
+    }
 
 
 def _load_blocks(corpus_path: str, variate_keys: list[str]) -> list[Block]:
@@ -206,7 +232,7 @@ def _train_block(
         "train_samples_per_s": train_samples * len(result.history) / train_s,
         "epoch_s_p50": statistics.median(result.epoch_seconds),
         "epoch_s_max": max(result.epoch_seconds),
-        **{k: extra[k] for k in ("dtype", "numpy", "blas")},
+        **{k: extra[k] for k in ("dtype", "numpy", "blas", "blas_threads")},
         "checkpoint": checkpoint_path,
     }
 

@@ -12,10 +12,11 @@ and processes.  Real pretrained vectors can be injected through
 :class:`TableEncoder`, a key->vector table with built-in fallback on misses.
 
 The classifier's two inputs are built from these encoders by
-:func:`name_input` and :func:`text_input`, the one feature recipe that
-training and prediction share: input one is the target's first-name vector
-concatenated with the mean of two co-author name vectors (400 dims); input
-two is the mean of the title and source vectors (768 dims).
+:func:`name_input` and :func:`text_rows` (or :func:`text_input`, its rows as
+one matrix), the one feature recipe that training and prediction share:
+input one is the target's first-name vector concatenated with the mean of
+two co-author name vectors (400 dims); input two is the mean of the title
+and source vectors (768 dims).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import re
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,7 +131,7 @@ class HashingTextEncoder:
 
     It keeps no vectors: titles are nearly all distinct, so a cache would
     hold a second, float64 copy of every text row a sample bank stores.
-    :func:`text_input` encodes each distinct string once per call instead.
+    :func:`text_rows` encodes each distinct string once per call instead.
     Tokens do recur across titles, so the encoder keeps the (bucket, sign)
     of its first ``CACHE_SIZE`` distinct tokens, per instance.
     """
@@ -260,27 +261,22 @@ def name_input(
     return out
 
 
-def text_input(
-    text_encoder: Callable[[str], np.ndarray],
-    titles: Sequence[str],
-    sources: Sequence[str],
-    dtype: type = np.float64,
-) -> np.ndarray:
-    """Input two, one row per record: (text(title) + text(source)) / 2, in
-    ``dtype``; ``text_encoder`` has a ``dim`` like every encoder here.
+def text_rows(
+    text_encoder: Callable[[str], np.ndarray], titles: Sequence[str], sources: Sequence[str]
+) -> Iterator[np.ndarray]:
+    """Input two's float64 rows one record at a time: (text(title) +
+    text(source)) / 2; ``text_encoder`` has a ``dim`` like every encoder here.
 
     An empty source contributes the zero vector and so halves the title
-    signal rather than renormalizing.  Each row is summed and halved in
-    float64 and rounded once as it is stored, so a float32 row holds the
-    bits of the float64 row cast, and no float64 matrix the size of the
-    output is built.  Each distinct string is encoded once per call, and
-    its vector is kept only until the last row that reads it, so a call
-    holds the vectors of the strings that recur, such as venues, and not
+    signal rather than renormalizing.  Every row is written into one buffer,
+    which the next row overwrites, so a caller keeps what it needs of a row
+    before it asks for the next.  Each distinct string is encoded once per
+    call, and its vector is kept only until the last row that reads it, so a
+    call holds the vectors of the strings that recur, such as venues, and not
     one per title.
     """
     last_row = {text: i for i, pair in enumerate(zip(titles, sources)) for text in pair}
     vectors: dict[str, np.ndarray] = {}
-    out = np.empty((len(titles), text_encoder.dim), dtype)
     row = np.empty(text_encoder.dim)
     for i, (title, source) in enumerate(zip(titles, sources)):
         for text in (title, source):
@@ -288,8 +284,17 @@ def text_input(
                 vectors[text] = text_encoder(text)
         np.add(vectors[title], vectors[source], out=row)
         row *= 0.5
-        out[i] = row
+        yield row
         for text in (title, source):
             if last_row[text] == i:
                 vectors.pop(text, None)
+
+
+def text_input(
+    text_encoder: Callable[[str], np.ndarray], titles: Sequence[str], sources: Sequence[str]
+) -> np.ndarray:
+    """Input two as one float64 matrix, the rows of :func:`text_rows`."""
+    out = np.empty((len(titles), text_encoder.dim))
+    for i, row in enumerate(text_rows(text_encoder, titles, sources)):
+        out[i] = row
     return out

@@ -11,11 +11,13 @@ Training runs mini-batch Adam on the weighted cross-entropy in float32,
 stops when the validation loss has not improved for ``patience`` consecutive
 epochs, and returns the parameters of the best validation-accuracy epoch,
 not the last.  The bank keeps no rows: each batch's inputs are assembled
-from name vectors and float32 text rows as the loop reaches it, into one
-reused buffer, already in the parameters' dtype, so the model reads them
-without a copy.  Every float32 value is its float64 value rounded once:
-the pair half of input one and each text row are summed and halved in
-float64 and rounded as they are stored.
+as the loop reaches it, already in the parameters' dtype, so the model
+reads them without a copy.  Input one comes from the rows of one float64
+name matrix that a block's train and validation banks share, into one
+reused buffer; input two is unpacked from each entry's float32 text row,
+which the bank holds as its set values only.  Every float32 value is its
+float64 value rounded once: the pair half of input one and each text row
+are summed and halved in float64 and rounded as they are stored.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .blocking import Block, BlockEntry
-from .encoders import Encoders, name_input, text_input
+from .encoders import Encoders, name_input, text_rows
 from .model import (
     LOG_FLOOR,
     ModelConfig,
@@ -146,13 +148,97 @@ def split_per_author(block: Block, seed: int) -> SplitAssignment:
     return SplitAssignment(by_author)
 
 
+class NameTable:
+    """The distinct name strings of one or more sample banks, each interned
+    to a row of one float64 matrix of their encodings.  A block's train and
+    validation banks share one table, so a name both use is stored once.
+
+    :meth:`matrix` stacks the vectors added since it last ran below the rows
+    already stacked, so a table filled before its first use is stacked once,
+    and a row id stays valid as the table grows."""
+
+    def __init__(self):
+        self._ids: dict[str, int] = {}
+        self._pending: list[np.ndarray] = []
+        self._matrix: np.ndarray | None = None
+
+    def add(self, name: str, vector: np.ndarray) -> int:
+        """The row of ``name``; ``vector`` is its encoding, kept only when
+        the table does not hold the name yet."""
+        row = self._ids.get(name)
+        if row is None:
+            row = self._ids[name] = len(self._ids)
+            self._pending.append(np.asarray(vector))
+        return row
+
+    def matrix(self) -> np.ndarray:
+        """Row i holds the encoding of the name added as row i."""
+        if self._pending:
+            # row by row: np.stack would make a view object per vector first
+            new = np.empty((len(self._pending), len(self._pending[0])))
+            for row, vector in zip(new, self._pending):
+                row[:] = vector
+            self._matrix = new if self._matrix is None else np.concatenate([self._matrix, new])
+            self._pending = []
+        return self._matrix
+
+
+class PackedRows:
+    """float32 rows held as their set values: per row one bit per column,
+    set where the value's bit pattern is not that of +0.0 (so -0.0 is kept),
+    and the values of the set bits in column order, each row's after the
+    one before in one flat array.  A row without a zero costs 1/32 more than
+    its dense form; a hashed text row, with about ten of its 768 values set,
+    under a twentieth of it.
+
+    The rows are compacted one at a time as ``rows`` yields them, so no
+    dense matrix of them is ever built; :meth:`take` rebuilds the dense
+    rows of a batch, bit for bit."""
+
+    def __init__(self, rows: Iterable[np.ndarray], n_rows: int, dim: int):
+        self.dim = dim
+        self._bits = np.empty((n_rows, (dim + 7) // 8), np.uint8)
+        # row i's values are _values[_start[i]:_start[i + 1]]
+        self._start = np.zeros(n_rows + 1, np.int64)
+        values = np.empty(16 * n_rows, np.float32)
+        row32 = np.empty(dim, np.float32)
+        used = 0
+        for i, row in enumerate(rows):
+            row32[:] = row
+            is_set = row32.view(np.uint32) != 0
+            self._bits[i] = np.packbits(is_set)
+            kept = row32[is_set]
+            if used + kept.size > values.size:
+                # in place where the allocator can, and nothing else views it
+                values.resize(max(2 * values.size, used + kept.size), refcheck=False)
+            values[used : used + kept.size] = kept
+            used += kept.size
+            self._start[i + 1] = used
+        values.resize(used, refcheck=False)
+        self._values = values
+
+    def take(self, idx: np.ndarray) -> np.ndarray:
+        """The dense float32 rows ``idx`` (an index array; rows may repeat)."""
+        # the output first: scratch allocated after it and freed before it
+        # leaves no gap under it in the heap
+        out = np.zeros((len(idx), self.dim), np.float32)
+        start = self._start[idx]
+        count = self._start[idx + 1] - start
+        # each value's place in _values: its row's start plus its rank in the row
+        end = np.cumsum(count)
+        at = np.arange(end[-1] if end.size else 0) + np.repeat(start - (end - count), count)
+        out[np.unpackbits(self._bits[idx], axis=1, count=self.dim).view(bool)] = self._values[at]
+        return out
+
+
 class SampleBank:
     """Every training input of a list of block entries, held as what its
-    rows are built from: row indices into one float64 matrix of encoded
-    names, and one float32 text row per entry (summed and halved in float64,
-    then rounded once).  :meth:`rows` assembles the float32 model inputs of
-    a batch of rows on demand, so a bank costs about 48 bytes per row plus
-    one float32 text row per entry, instead of a row of both inputs.
+    rows are built from: row ids into a :class:`NameTable` of encoded names,
+    and each entry's float32 text row (summed and halved in float64, then
+    rounded once) as :class:`PackedRows`.  :meth:`rows` assembles the
+    float32 model inputs of a batch of rows on demand, so a bank costs about
+    32 bytes per row plus the set values of one text row per entry, and the
+    names it uses, which a block's two banks share through ``names``.
 
     The sample rule: an entry (record, target position) whose record has
     omega authors gives 2*omega rows.  For each author position p, the target
@@ -166,9 +252,28 @@ class SampleBank:
     co-author slots empty; the empty name encodes as the zero vector.
     """
 
-    def __init__(self, entries: Sequence[BlockEntry], class_index: dict[AuthorId, int], encoders: Encoders):
-        string_ids: dict[str, int] = {"": 0}
-        intern = lambda s: string_ids.setdefault(s, len(string_ids))
+    def __init__(
+        self,
+        entries: Sequence[BlockEntry],
+        class_index: dict[AuthorId, int],
+        encoders: Encoders,
+        names: NameTable | None = None,
+    ):
+        self._names = names = NameTable() if names is None else names
+        # the bank asks the encoder once for each distinct string it uses,
+        # one the table holds already too, so the cache hits and table misses
+        # the manifest reports count per bank
+        string_ids: dict[str, int] = {}
+
+        def intern(s: str) -> int:
+            row = string_ids.get(s)
+            if row is None:
+                row = string_ids[s] = names.add(s, encoders.name(s))
+            return row
+
+        # the j slot starts empty: the encoding of "", row 0 of the table
+        # that this or an earlier bank filled first
+        intern("")
         # per entry: its twin pairs, the target's two first-name forms, its class
         entry_pairs: list[int] = []
         entry_firsts: list[tuple[int, int]] = []
@@ -184,24 +289,23 @@ class SampleBank:
             entry_firsts.append((intern(target.full_first), intern(target.anv_first)))
             entry_labels.append(class_index[entry.target.author_id])
 
-        self._vectors = np.stack([np.asarray(encoders.name(s)) for s in string_ids])
-        self.name_dim = self._vectors.shape[1]
+        self.name_dim = encoders.name.dim
         pairs = np.array(entry_pairs, dtype=np.int64)
         rows_per_entry = 2 * pairs
-        self._row_entry = np.repeat(np.arange(len(entries)), rows_per_entry)
+        self._row_entry = np.repeat(np.arange(len(entries), dtype=np.int32), rows_per_entry)
         pair_entry = self._row_entry[0::2]
         # rows alternate full and abbreviated forms, so a pair's two first names are its entry's
-        self._first_ids = np.array(entry_firsts, dtype=np.intp).reshape(-1, 2)[pair_entry].ravel()
-        self._p_ids = np.array(p_ids, dtype=np.intp)
-        self._j_ids = np.zeros(self._p_ids.size, dtype=np.intp)
+        self._first_ids = np.array(entry_firsts, dtype=np.int32).reshape(-1, 2)[pair_entry].ravel()
+        self._p_ids = np.array(p_ids, dtype=np.int32)
+        self._j_ids = np.zeros(self._p_ids.size, dtype=np.int32)
         # per twin pair: its entry's first row and omega, to draw j from
         self._pair_start = (np.cumsum(rows_per_entry) - rows_per_entry)[pair_entry]
         self._pair_omega = pairs[pair_entry]
         self.labels = np.array(entry_labels, dtype=np.int64)[self._row_entry]
         records = [e.record for e in entries]
         titles, sources = [r.title for r in records], [r.source for r in records]
-        self._text_rows = text_input(encoders.text, titles, sources, dtype=np.float32)
-        self.text_dim = self._text_rows.shape[1]
+        self.text_dim = encoders.text.dim
+        self._text_rows = PackedRows(text_rows(encoders.text, titles, sources), len(records), self.text_dim)
 
     @property
     def n_samples(self) -> int:
@@ -221,12 +325,14 @@ class SampleBank:
         a float32 (len(idx), 2 * name_dim) buffer that a caller assembling
         many batches reuses.  x1's pair half is summed and halved in float64
         and rounded once as it is copied in, so each row holds the bits of
-        the float64 row cast; x2 is a gather of the float32 text rows."""
-        first = self._vectors[self._first_ids[idx]]
+        the float64 row cast; x2 is the entries' text rows, unpacked."""
+        vectors = self._names.matrix()
+        p, j = self._p_ids[idx], self._j_ids[idx]
         if out is None:
-            out = np.empty((len(first), 2 * self.name_dim), np.float32)
-        x1 = name_input(first, self._vectors, self._p_ids[idx], self._j_ids[idx], out=out)
-        return x1, self._text_rows[self._row_entry[idx]]
+            out = np.empty((len(p), 2 * self.name_dim), np.float32)
+        # the float64 first names are freed as name_input returns, before x2 is built
+        x1 = name_input(vectors[self._first_ids[idx]], vectors, p, j, out=out)
+        return x1, self._text_rows.take(self._row_entry[idx])
 
 
 @dataclass(frozen=True)
@@ -241,8 +347,9 @@ class TrainRunConfig:
     def __post_init__(self):
         if self.max_epochs < 1 or self.patience < 1 or self.reassign_interval < 1 or self.batch_size < 1:
             raise ValueError("max_epochs, patience, reassign_interval and batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        # NaN compares false with everything, so this form refuses it too
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 class TrainingMonitor:
@@ -366,19 +473,20 @@ def train_block_model(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
 
-    bank = SampleBank(train_entries, block.class_index, encoders)
+    # one name matrix for the block's train and validation banks
+    names = NameTable()
+    bank = SampleBank(train_entries, block.class_index, encoders, names)
     counts = np.bincount(bank.labels, minlength=block.n_classes)
     if (counts == 0).any():
         missing = [block.authors[i].render() for i in np.flatnonzero(counts == 0)]
         raise TrainingError(f"classes without TRAIN samples: {', '.join(missing)}")
     weights = class_weights(counts)
-    sample_weights = weights[bank.labels]
 
     val_on_train = not val_entries
     if val_on_train:
         val_bank = bank
     else:
-        val_bank = SampleBank(val_entries, block.class_index, encoders)
+        val_bank = SampleBank(val_entries, block.class_index, encoders, names)
         val_bank.assign_coauthors(np.random.default_rng(val_seq))
 
     init_seed = int(init_seq.generate_state(1, dtype=np.uint32)[0])
@@ -417,9 +525,8 @@ def train_block_model(
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
             x1, x2 = bank.rows(idx, out=x1_buffer[: idx.size])
-            loss, grad = loss_and_gradients_batch(
-                params, x1, x2, bank.labels[idx], sample_weights[idx], rng=dropout_rng,
-            )
+            labels = bank.labels[idx]
+            loss, grad = loss_and_gradients_batch(params, x1, x2, labels, weights[labels], rng=dropout_rng)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             adam_step(params, grad, adam)

@@ -536,6 +536,35 @@ class TestTrain:
         assert_operational_error(rc, capsys, manifest)
         assert not (tmp_path / "t.npz").exists()
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_rejected(self, ws, tmp_path, capsys, rate):
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(tmp_path / "t.npz"),
+                "--max-epochs", "1",
+                "--learning-rate", rate,
+                "--manifest", str(manifest),
+            ]
+        )
+        assert rc == 1
+        assert "learning_rate must be finite and positive" in capsys.readouterr().err
+        (entry,) = manifest_entries(manifest)
+        assert entry["status"] == "error"
+        assert not (tmp_path / "t.npz").exists()
+
+    def test_run_identity_records_blas_threads(self, ws):
+        """The OpenBLAS thread count, or null where it cannot be read, in the
+        manifest and in the checkpoint."""
+        trained = next(e for e in manifest_entries(ws["manifest"]) if e["command"] == "train")
+        (block,) = trained["result"]["blocks"]
+        threads = block["blas_threads"]
+        assert threads is None or (type(threads) is int and threads >= 1)
+        assert load_checkpoint(ws["ckpt"]).extra["blas_threads"] == threads
+
     def test_reported_checkpoint_path_is_the_written_file(self, ws, tmp_path, capsys):
         manifest = tmp_path / "m"
         rc = main(

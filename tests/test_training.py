@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import namelink.training
 from namelink.blocking import BlockEntry, build_block
-from namelink.encoders import default_encoders, name_input
+from namelink.encoders import HashingTextEncoder, TableEncoder, default_encoders, name_input, text_input
 from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
 from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
     EVAL_BATCH,
+    NameTable,
+    PackedRows,
     SampleBank,
     Split,
     SplitAssignment,
@@ -324,8 +327,9 @@ class TestSampleBank:
         records = [e.record for e in block.entries]
         text64 = np.stack([0.5 * (enc.text(r.title) + enc.text(r.source)) for r in records])
         for idx in (np.random.default_rng(14).permutation(bank.n_samples)[:11], slice(3, 14)):
-            first = bank._vectors[bank._first_ids[idx]]
-            x1_64 = name_input(first, bank._vectors, bank._p_ids[idx], bank._j_ids[idx])
+            vectors = bank._names.matrix()
+            first = vectors[bank._first_ids[idx]]
+            x1_64 = name_input(first, vectors, bank._p_ids[idx], bank._j_ids[idx])
             x1, x2 = bank.rows(idx)
             assert x1.dtype == x2.dtype == np.float32
             np.testing.assert_array_equal(x1, x1_64.astype(np.float32))
@@ -343,12 +347,95 @@ class TestSampleBank:
         assert cache["x1"] is x1 and cache["x2"] is x2
 
 
+def text_bank(titles, sources, text_encoder):
+    """A bank with one solo-record entry per (title, source), the text
+    encoder ``text_encoder``, and the float32 ``text_input`` rows as oracle."""
+    records = [rec(f"t{k}", "Wei Fang", title=t, source=s) for k, (t, s) in enumerate(zip(titles, sources))]
+    class_index = {records[0].authors[0].author_id: 0}
+    enc = default_encoders()._replace(text=text_encoder)
+    bank = SampleBank([BlockEntry(r, 0) for r in records], class_index, enc)
+    return bank, text_input(text_encoder, titles, sources).astype(np.float32)
+
+
+def assert_same_bits(x, expected):
+    """Equal bit for bit, so -0.0 is told from +0.0."""
+    assert x.dtype == expected.dtype == np.float32 and x.shape == expected.shape
+    np.testing.assert_array_equal(x.view(np.uint32), expected.view(np.uint32))
+
+
+def table_text_encoder(table):
+    return TableEncoder(table, HashingTextEncoder(), 768, "0" * 64)
+
+
+class TestPackedTextRows:
+    """A bank keeps each text row as its set values; the x2 it rebuilds is
+    the dense float32 ``text_input`` row, bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet="abc xyz-Q9", min_size=1, max_size=40).filter(str.strip),
+                st.sampled_from(["", "VLDB", "Proc. KDD", "abc"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_hashed_titles(self, pairs):
+        titles, sources = [t for t, _ in pairs], [s for _, s in pairs]
+        bank, text32 = text_bank(titles, sources, HashingTextEncoder())
+        idx = np.random.default_rng(len(pairs)).permutation(bank.n_samples)
+        assert_same_bits(bank.rows(idx)[1], text32[bank._row_entry[idx]])
+        assert_same_bits(bank.rows(slice(0, bank.n_samples))[1], text32[bank._row_entry])
+
+    def test_table_vectors_without_a_zero(self):
+        rng = np.random.default_rng(21)
+        titles, sources = ["first title", "second title", "first title"], ["VLDB", "KDD", "KDD"]
+        encoder = table_text_encoder({k: rng.normal(size=768) for k in {*titles, *sources}})
+        bank, text32 = text_bank(titles, sources, encoder)
+        assert encoder.miss_count == 0
+        assert np.count_nonzero(text32.view(np.uint32)) == text32.size
+        assert_same_bits(bank.rows(np.arange(bank.n_samples))[1], text32[bank._row_entry])
+
+    def test_table_holding_negative_zeros(self):
+        vec = np.random.default_rng(22).normal(size=768)
+        vec[1::7] = 0.0
+        vec[::3] = -0.0
+        # the title and the source both hold -0.0 where vec does, so their mean does too
+        encoder = table_text_encoder({"title": vec, "venue": vec.copy(), "other": -vec})
+        bank, text32 = text_bank(["title", "title", "other"], ["venue", "", "venue"], encoder)
+        assert np.signbit(text32[0, ::3]).all() and (text32[0, ::3] == 0).all()
+        assert_same_bits(bank.rows(np.arange(bank.n_samples))[1], text32[bank._row_entry])
+
+    def test_rows_without_a_zero_cost_at_most_a_32nd_more(self):
+        rng = np.random.default_rng(23)
+        titles = [f"title {k}" for k in range(40)]
+        encoder = table_text_encoder({k: rng.normal(size=768) for k in [*titles, "J."]})
+        bank, text32 = text_bank(titles, ["J."] * len(titles), encoder)
+        packed = bank._text_rows
+        assert packed._values.size == text32.size
+        assert packed._bits.nbytes + packed._values.nbytes <= text32.nbytes * 33 / 32
+
+    def test_packed_rows_edge_cases(self):
+        rows = np.zeros((5, 13), np.float32)
+        rows[1] = np.arange(1, 14)  # no zero; 13 columns pack into 2 bytes
+        rows[2, [0, 12]] = -0.0
+        rows[3, 5] = np.float32(1e-45)  # the smallest subnormal
+        packed = PackedRows(iter(rows), len(rows), 13)
+        assert packed._values.size == 13 + 2 + 1
+        for idx in ([4, 1, 1, 0, 2, 3], [], [2]):
+            idx = np.array(idx, dtype=np.intp)
+            assert_same_bits(packed.take(idx), rows[idx])
+
+
 class TestSampleBankMemory:
     """A bank holds what its rows are built from, not the rows: per entry
-    one text row, per distinct name one vector, per row a few indices."""
+    the set values of its text row, per distinct name one vector that a
+    block's two banks share, per row a few indices."""
 
     # fixed overhead of a bank build besides its arrays: Python objects of
-    # the entries, the name strings, the array views of np.stack
+    # the entries, the name strings and the dicts that intern them
     SLACK = 256 * 1024
 
     def make_block(self, n_records=60):
@@ -402,24 +489,60 @@ class TestSampleBankMemory:
         assert not holds_vectors(enc.text)
 
     def test_traced_peak_is_per_entry_and_per_name(self):
-        block = self.make_block()
+        """A block's train and validation banks, built as training builds
+        them: their text costs the set values of each entry's text row, and
+        each name they use is stored once."""
+        block = self.make_block(n_records=400)
         enc = default_encoders()
-        # the first build fills the name encoder's cache, which the bank does not own
-        SampleBank(block.entries, block.class_index, enc)
+        train_entries, val_entries = block.entries[0::2], block.entries[1::2]
+
+        def build():
+            names = NameTable()
+            banks = [SampleBank(e, block.class_index, enc, names) for e in (train_entries, val_entries)]
+            names.matrix()
+            return banks
+
+        # the first build fills the name encoder's cache, which the banks do not own
+        build()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            bank = SampleBank(block.entries, block.class_index, enc)
+            banks = build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        records = [e.record for e in block.entries]
+        text32 = text_input(enc.text, [r.title for r in records], [r.source for r in records]).astype(np.float32)
+        text_dim = banks[0].text_dim
+        # per entry its set values, one bit per column and where its values start
+        text_bytes = 4 * np.count_nonzero(text32.view(np.uint32)) + len(records) * (text_dim // 8 + 8)
         bound = (
-            len(block.entries) * bank.text_dim * 8
-            + self.distinct_names(block) * bank.name_dim * 8
-            + bank.n_samples * 64
+            text_bytes
+            + self.distinct_names(block) * banks[0].name_dim * 8
+            + sum(b.n_samples for b in banks) * 64
             + self.SLACK
         )
         assert peak - before < bound
+
+    def test_train_and_validation_banks_index_one_name_matrix(self, monkeypatch):
+        banks = []
+        real_init = namelink.training.SampleBank.__init__
+
+        def keep(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            banks.append(self)
+
+        monkeypatch.setattr(namelink.training.SampleBank, "__init__", keep)
+        block = separable_block()
+        result = train_block_model(
+            block, split_per_author(block, seed=1), default_encoders(), TrainRunConfig(max_epochs=1), SMALL_MODEL
+        )
+        assert not result.val_on_train
+        train, val = banks
+        assert np.shares_memory(train._names.matrix(), val._names.matrix())
+        # each author's records share their co-authors, so the two banks use
+        # every name of the block, and each sits in the matrix once
+        assert len(train._names.matrix()) == TestSampleBankMemory.distinct_names(block)
 
 
 class TestEvaluateBankMemory:
@@ -620,6 +743,9 @@ class TestTrainRunConfig:
             {"reassign_interval": 0},
             {"batch_size": 0},
             {"learning_rate": 0.0},
+            # `rate <= 0` is false for both, so neither is caught by a sign test
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_validation(self, kwargs):
