@@ -119,10 +119,12 @@ def _check_encoders(bundle: CheckpointBundle, checkpoint: str, encoders: Encoder
 
 def _encoder_counts(encoders: Encoders) -> dict:
     """For the manifest: the fallback lookups of each embedding table in use
-    (on the text side one per distinct title or source per ``text_input``
-    call), and the hit rate of the hashing name encoder's cache (a table's
-    fallback sees only the table's misses), null when it was not called.
-    The text encoder keeps no cache and so reports no rate."""
+    (training looks up each distinct name and each distinct title or source
+    of a block once), and the hit rate of the hashing name encoder's cache (a
+    table's fallback sees only the table's misses), null when it was not
+    called; so a single-block ``train`` reads 0.0, and only a later block
+    sharing a name with an earlier one hits.  The text encoder keeps no
+    cache and so reports no rate."""
     counts = {}
     for kind, encoder in (("name", encoders.name), ("text", encoders.text)):
         if isinstance(encoder, TableEncoder):

@@ -491,7 +491,8 @@ class CheckpointBundle:
 
 def load_checkpoint(path: str | Path) -> CheckpointBundle:
     """Reload a checkpoint's model in the dtype it was saved in; a file
-    without the ``extra`` fields ``save_checkpoint`` requires is refused."""
+    without the ``extra`` fields ``save_checkpoint`` requires, or with a
+    parameter that is NaN or infinite, is refused."""
     try:
         with np.load(path, allow_pickle=False) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
@@ -520,4 +521,7 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise CheckpointError(
             f"checkpoint {path}: params has shape {flat.shape}, the model needs ({config.n_params},)"
         )
+    non_finite = flat.size - int(np.isfinite(flat).sum())
+    if non_finite:
+        raise CheckpointError(f"checkpoint {path}: {non_finite} of {flat.size} params are not finite")
     return CheckpointBundle(params=ModelParams(config, flat), class_index=classes, extra=meta["extra"])

@@ -49,6 +49,17 @@ def record_to_json(record: BibRecord) -> str:
 
 
 def record_from_json(payload: dict) -> BibRecord:
+    """The record of one store line.  A field of the wrong JSON type raises
+    ValueError naming it: the key, kind, title and source are strings, the
+    year an integer (not true/false), the authors a list of strings."""
+    for name in ("key", "kind", "title", "source"):
+        if not isinstance(payload[name], str):
+            raise ValueError(f"field {name!r} must be a string, not {type(payload[name]).__name__}")
+    if type(payload["year"]) is not int:
+        raise ValueError(f"field 'year' must be an integer, not {type(payload['year']).__name__}")
+    authors = payload["authors"]
+    if not isinstance(authors, list) or not all(isinstance(a, str) for a in authors):
+        raise ValueError("field 'authors' must be a list of strings")
     return BibRecord(
         record_key=payload["key"],
         kind=payload["kind"],

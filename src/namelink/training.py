@@ -12,16 +12,19 @@ stops when the validation loss has not improved for ``patience`` consecutive
 epochs, and returns the parameters of the best validation-accuracy epoch,
 not the last.  The bank keeps no rows: each batch's inputs are assembled
 as the loop reaches it, already in the parameters' dtype, so the model
-reads them without a copy.  Input one comes from the rows of one float64
-name matrix that a block's train and validation banks share, into one
-reused buffer; input two is unpacked from each entry's float32 text row,
-which the bank holds as its set values only.  Every float32 value is its
-float64 value rounded once: the pair half of input one and each text row
-are summed and halved in float64 and rounded as they are stored.
+reads them without a copy.  A block has one bank: its train entries' rows,
+then its validation entries' rows, which are scored after every epoch.
+Input one comes from the rows of the bank's float64 name matrix, each
+distinct name encoded and stored once, into one reused buffer; input two
+is unpacked from each entry's float32 text row, which the bank holds as its
+set values only.  Every float32 value is its float64 value rounded once:
+the pair half of input one and each text row are summed and halved in
+float64 and rounded as they are stored.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -148,41 +151,6 @@ def split_per_author(block: Block, seed: int) -> SplitAssignment:
     return SplitAssignment(by_author)
 
 
-class NameTable:
-    """The distinct name strings of one or more sample banks, each interned
-    to a row of one float64 matrix of their encodings.  A block's train and
-    validation banks share one table, so a name both use is stored once.
-
-    :meth:`matrix` stacks the vectors added since it last ran below the rows
-    already stacked, so a table filled before its first use is stacked once,
-    and a row id stays valid as the table grows."""
-
-    def __init__(self):
-        self._ids: dict[str, int] = {}
-        self._pending: list[np.ndarray] = []
-        self._matrix: np.ndarray | None = None
-
-    def add(self, name: str, vector: np.ndarray) -> int:
-        """The row of ``name``; ``vector`` is its encoding, kept only when
-        the table does not hold the name yet."""
-        row = self._ids.get(name)
-        if row is None:
-            row = self._ids[name] = len(self._ids)
-            self._pending.append(np.asarray(vector))
-        return row
-
-    def matrix(self) -> np.ndarray:
-        """Row i holds the encoding of the name added as row i."""
-        if self._pending:
-            # row by row: np.stack would make a view object per vector first
-            new = np.empty((len(self._pending), len(self._pending[0])))
-            for row, vector in zip(new, self._pending):
-                row[:] = vector
-            self._matrix = new if self._matrix is None else np.concatenate([self._matrix, new])
-            self._pending = []
-        return self._matrix
-
-
 class PackedRows:
     """float32 rows held as their set values: per row one bit per column,
     set where the value's bit pattern is not that of +0.0 (so -0.0 is kept),
@@ -233,12 +201,14 @@ class PackedRows:
 
 class SampleBank:
     """Every training input of a list of block entries, held as what its
-    rows are built from: row ids into a :class:`NameTable` of encoded names,
-    and each entry's float32 text row (summed and halved in float64, then
-    rounded once) as :class:`PackedRows`.  :meth:`rows` assembles the
-    float32 model inputs of a batch of rows on demand, so a bank costs about
-    32 bytes per row plus the set values of one text row per entry, and the
-    names it uses, which a block's two banks share through ``names``.
+    rows are built from: row ids into one float64 matrix that holds each
+    distinct name string's encoding once, and each entry's float32 text row
+    (summed and halved in float64, then rounded once) as
+    :class:`PackedRows`.  :meth:`rows` assembles the float32 model inputs of
+    a batch of rows on demand, so a bank costs about 32 bytes per row plus
+    the set values of one text row per entry, and the names it uses.  A
+    block trains on one bank over its train and then its validation
+    entries: each part is a range of rows, which ``entry_start`` bounds.
 
     The sample rule: an entry (record, target position) whose record has
     omega authors gives 2*omega rows.  For each author position p, the target
@@ -252,28 +222,14 @@ class SampleBank:
     co-author slots empty; the empty name encodes as the zero vector.
     """
 
-    def __init__(
-        self,
-        entries: Sequence[BlockEntry],
-        class_index: dict[AuthorId, int],
-        encoders: Encoders,
-        names: NameTable | None = None,
-    ):
-        self._names = names = NameTable() if names is None else names
-        # the bank asks the encoder once for each distinct string it uses,
-        # one the table holds already too, so the cache hits and table misses
-        # the manifest reports count per bank
-        string_ids: dict[str, int] = {}
+    def __init__(self, entries: Sequence[BlockEntry], class_index: dict[AuthorId, int], encoders: Encoders):
+        # each distinct name string's row, in order of first use; the j slot
+        # starts empty: the encoding of "", row 0
+        string_ids: dict[str, int] = {"": 0}
 
         def intern(s: str) -> int:
-            row = string_ids.get(s)
-            if row is None:
-                row = string_ids[s] = names.add(s, encoders.name(s))
-            return row
+            return string_ids.setdefault(s, len(string_ids))
 
-        # the j slot starts empty: the encoding of "", row 0 of the table
-        # that this or an earlier bank filled first
-        intern("")
         # per entry: its twin pairs, the target's two first-name forms, its class
         entry_pairs: list[int] = []
         entry_firsts: list[tuple[int, int]] = []
@@ -292,6 +248,8 @@ class SampleBank:
         self.name_dim = encoders.name.dim
         pairs = np.array(entry_pairs, dtype=np.int64)
         rows_per_entry = 2 * pairs
+        # entry e's rows are entry_start[e]:entry_start[e + 1]
+        self.entry_start = np.concatenate([[0], np.cumsum(rows_per_entry)])
         self._row_entry = np.repeat(np.arange(len(entries), dtype=np.int32), rows_per_entry)
         pair_entry = self._row_entry[0::2]
         # rows alternate full and abbreviated forms, so a pair's two first names are its entry's
@@ -299,25 +257,42 @@ class SampleBank:
         self._p_ids = np.array(p_ids, dtype=np.int32)
         self._j_ids = np.zeros(self._p_ids.size, dtype=np.int32)
         # per twin pair: its entry's first row and omega, to draw j from
-        self._pair_start = (np.cumsum(rows_per_entry) - rows_per_entry)[pair_entry]
+        self._pair_start = self.entry_start[pair_entry]
         self._pair_omega = pairs[pair_entry]
         self.labels = np.array(entry_labels, dtype=np.int64)[self._row_entry]
         records = [e.record for e in entries]
         titles, sources = [r.title for r in records], [r.source for r in records]
         self.text_dim = encoders.text.dim
         self._text_rows = PackedRows(text_rows(encoders.text, titles, sources), len(records), self.text_dim)
+        # the encoder is asked once per distinct string, after the entries'
+        # rows are built; the matrix is stacked on the first call of rows(),
+        # after the training state: measured, that order peaks lowest in RSS
+        self._name_vectors = [encoders.name(s) for s in string_ids]
+
+    @functools.cached_property
+    def _names(self) -> np.ndarray:
+        """Row i holds the encoding of the name string with row id i."""
+        # row by row: np.stack would make a view object per vector first
+        names = np.empty((len(self._name_vectors), self.name_dim))
+        for row, vector in zip(names, self._name_vectors):
+            row[:] = vector
+        del self._name_vectors
+        return names
 
     @property
     def n_samples(self) -> int:
         return self.labels.size
 
-    def assign_coauthors(self, rng: np.random.Generator) -> None:
-        """Redraw every twin pair's j: one ``rng.integers(omega)`` per pair
-        in row order (omega = 1 consumes nothing), so the stream is that of
-        a scalar draw per position p, entry by entry."""
-        j_row = self._pair_start + 2 * rng.integers(self._pair_omega)
-        self._j_ids[0::2] = self._p_ids[j_row]
-        self._j_ids[1::2] = self._p_ids[j_row + 1]
+    def assign_coauthors(self, rng: np.random.Generator, rows: slice) -> None:
+        """Redraw the j of every twin pair in ``rows``, a slice start:stop
+        of whole entries' rows: one ``rng.integers(omega)`` per pair in row
+        order (omega = 1 consumes nothing), so the stream is that of a
+        scalar draw per position p, entry by entry.  Other rows keep theirs."""
+        pairs = slice(rows.start // 2, rows.stop // 2)
+        j_row = self._pair_start[pairs] + 2 * rng.integers(self._pair_omega[pairs])
+        j_ids = self._j_ids[rows]
+        j_ids[0::2] = self._p_ids[j_row]
+        j_ids[1::2] = self._p_ids[j_row + 1]
 
     def rows(self, idx: np.ndarray | slice, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """The float32 inputs (x1, x2) of the rows ``idx`` (an index array
@@ -326,7 +301,7 @@ class SampleBank:
         many batches reuses.  x1's pair half is summed and halved in float64
         and rounded once as it is copied in, so each row holds the bits of
         the float64 row cast; x2 is the entries' text rows, unpacked."""
-        vectors = self._names.matrix()
+        vectors = self._names
         p, j = self._p_ids[idx], self._j_ids[idx]
         if out is None:
             out = np.empty((len(p), 2 * self.name_dim), np.float32)
@@ -428,14 +403,15 @@ def history_lines(history: Iterable[EpochStats]) -> list[str]:
 EVAL_BATCH = 1024
 
 
-def _evaluate_bank(params: ModelParams, bank: SampleBank) -> tuple[float, float]:
-    """Unweighted mean cross-entropy and argmax accuracy over a frozen bank."""
+def _evaluate_bank(params: ModelParams, bank: SampleBank, rows: slice) -> tuple[float, float]:
+    """Unweighted mean cross-entropy and argmax accuracy over the rows
+    ``rows`` (a slice start:stop) of a frozen bank."""
     total_loss = 0.0
     total_correct = 0
-    n = bank.n_samples
+    n = rows.stop - rows.start
     x1_buffer = np.empty((min(n, EVAL_BATCH), 2 * bank.name_dim), np.float32)
-    for start in range(0, n, EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, n)
+    for start in range(rows.start, rows.stop, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, rows.stop)
         x1, x2 = bank.rows(slice(start, stop), out=x1_buffer[: stop - start])
         probs, _ = forward_batch(params, x1, x2, mode="infer")
         labels = bank.labels[start:stop]
@@ -473,10 +449,10 @@ def train_block_model(
     shuffle_rng = np.random.default_rng(shuffle_seq)
     dropout_rng = np.random.default_rng(dropout_seq)
 
-    # one name matrix for the block's train and validation banks
-    names = NameTable()
-    bank = SampleBank(train_entries, block.class_index, encoders, names)
-    counts = np.bincount(bank.labels, minlength=block.n_classes)
+    # the train entries' rows come first; with no VAL record the train rows are scored
+    bank = SampleBank(train_entries + val_entries, block.class_index, encoders)
+    train_rows = slice(0, int(bank.entry_start[len(train_entries)]))
+    counts = np.bincount(bank.labels[train_rows], minlength=block.n_classes)
     if (counts == 0).any():
         missing = [block.authors[i].render() for i in np.flatnonzero(counts == 0)]
         raise TrainingError(f"classes without TRAIN samples: {', '.join(missing)}")
@@ -484,10 +460,10 @@ def train_block_model(
 
     val_on_train = not val_entries
     if val_on_train:
-        val_bank = bank
+        val_rows = train_rows
     else:
-        val_bank = SampleBank(val_entries, block.class_index, encoders, names)
-        val_bank.assign_coauthors(np.random.default_rng(val_seq))
+        val_rows = slice(train_rows.stop, bank.n_samples)
+        bank.assign_coauthors(np.random.default_rng(val_seq), val_rows)
 
     init_seed = int(init_seq.generate_state(1, dtype=np.uint32)[0])
     if model_config is None:
@@ -513,13 +489,13 @@ def train_block_model(
     best_params = params.copy()
     stopped_early = False
     epoch_seconds: list[float] = []
-    n = bank.n_samples
+    n = train_rows.stop
     x1_buffer = np.empty((min(n, config.batch_size), 2 * bank.name_dim), np.float32)
 
     for epoch in range(1, config.max_epochs + 1):
         started = time.perf_counter()
         if (epoch - 1) % config.reassign_interval == 0:
-            bank.assign_coauthors(assign_rng)
+            bank.assign_coauthors(assign_rng, train_rows)
         perm = shuffle_rng.permutation(n)
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
@@ -534,7 +510,7 @@ def train_block_model(
             # two would otherwise be alive together, one parameter vector more
             del grad
             epoch_loss += loss * idx.size
-        val_loss, val_accuracy = _evaluate_bank(params, val_bank)
+        val_loss, val_accuracy = _evaluate_bank(params, bank, val_rows)
         checkpointed = monitor.observe(epoch, val_loss, val_accuracy)
         if checkpointed:
             best_params = params.copy()

@@ -223,7 +223,7 @@ def test_a4_sample_generation_law():
             position = int(rng.integers(omega))
             class_index = {m.author_id: i for i, m in enumerate(record.authors)}
             bank = SampleBank([BlockEntry(record, position)], class_index, enc)
-            bank.assign_coauthors(rng)
+            bank.assign_coauthors(rng, slice(0, bank.n_samples))
             x1, _ = bank.rows(np.arange(bank.n_samples))
             assert x1.shape[0] == 2 * omega
 

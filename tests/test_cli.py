@@ -717,6 +717,25 @@ class TestEvaluate:
         assert "MiAF1" not in captured.out
         assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
 
+    @pytest.mark.parametrize(
+        "command, args",
+        [("evaluate", ["--block", "Y Chen"]), ("predict", ["--name", "Y Chen", "--record-key", "synth/a/0000"])],
+    )
+    def test_checkpoint_with_non_finite_params_refused(self, ws, tmp_path, capsys, command, args):
+        with np.load(ws["ckpt"]) as archive:
+            arrays = dict(archive)
+        arrays["params"] = np.full_like(arrays["params"], np.nan)
+        ckpt = tmp_path / "nan.npz"
+        np.savez(ckpt, **arrays)
+        manifest = tmp_path / "m"
+        rc = main([command, "--corpus", ws["corpus"], *args, "--checkpoint", str(ckpt), "--manifest", str(manifest)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        n = arrays["params"].size
+        assert captured.err.startswith(f"error: checkpoint {ckpt}: {n} of {n} params are not finite")
+        assert "MiAF1" not in captured.out and "nan" not in captured.out
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
+
     def test_manifest_reports_table_misses(self, ws, tables, tmp_path, capsys):
         manifest = tmp_path / "m"
         for extra in ([], ["--name-table", tables["name_table"], "--text-table", tables["text_table"]]):
@@ -1196,6 +1215,20 @@ class TestManifest:
         assert entry["status"] == "error"
         assert "error" in entry["result"]
 
+    @pytest.mark.parametrize("field, value", [("title", 5), ("authors", "Li"), ("year", "x")])
+    def test_store_field_of_the_wrong_type_is_operational_error(self, tmp_path, capsys, field, value):
+        corpus = tmp_path / "bad.nd"
+        payload = {"key": "k", "kind": "article", "title": "T", "source": "", "year": 2004, "authors": ["Lei Wang"]}
+        payload[field] = value
+        corpus.write_text("ndcorpus/1\n" + json.dumps(payload) + "\n", "utf-8")
+        manifest = tmp_path / "m.ndjson"
+        rc = main(["stats", "--corpus", str(corpus), "--manifest", str(manifest)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error:") and f"{corpus}:2" in captured.err
+        (entry,) = manifest_entries(manifest)
+        assert entry["status"] == "error" and repr(field) in entry["result"]["error"]
+
     def test_encoder_cache_hit_rates(self, ws, tables, tmp_path, capsys):
         manifest = tmp_path / "m.ndjson"
         common = ["--corpus", ws["corpus"], "--manifest", str(manifest)]
@@ -1211,8 +1244,9 @@ class TestManifest:
             assert 0.0 <= result["name_cache_hit_rate"] <= 1.0
             # the text encoder keeps no cache
             assert "text_cache_hit_rate" not in result
-        # a block's entries share the target's first names, so training hits the cache
-        assert trained["name_cache_hit_rate"] > 0.0
+        # training asks the encoder once per distinct name of the block, so
+        # a single-block train, the first use of the encoder, never hits the cache
+        assert trained["name_cache_hit_rate"] == 0.0
         assert predicted["route"] == "AMBIGUOUS"
 
     def test_unwritable_manifest_is_operational_error(self, ws, tmp_path, capsys):

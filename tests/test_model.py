@@ -600,6 +600,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(tmp_path / "absent.npz")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_params_refused(self, tmp_path, dtype):
+        params = self.make_params()
+        flat = params.flat.astype(dtype)
+        flat[[0, 5, -1]] = [np.nan, np.inf, -np.inf]
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, ModelParams(params.config, flat), self.classes(), RUN_FIELDS)
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"checkpoint {path}: 3 of {flat.size} params are not finite"
+
     def test_every_truncation_rejected(self, tmp_path):
         """A checkpoint cut anywhere, down to an empty file, is refused as a
         checkpoint error rather than whatever numpy raises."""

@@ -147,6 +147,31 @@ class TestErrors:
             list(read_corpus_store(path))
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("key", 7),
+            ("kind", None),
+            ("title", 5),
+            ("source", ["VLDB"]),
+            ("year", "x"),
+            ("year", 2004.0),
+            ("year", True),
+            ("authors", "Li"),
+            ("authors", ["Lei Wang", 3]),
+            ("authors", {"Lei Wang": 1}),
+        ],
+    )
+    def test_field_of_the_wrong_type(self, tmp_path, field, value):
+        path = tmp_path / "bad.ndjson"
+        payload = {"key": "k", "kind": "article", "title": "T", "source": "", "year": 2004, "authors": ["Lei Wang"]}
+        payload[field] = value
+        path.write_text(STORE_VERSION + "\n" + json.dumps(payload) + "\n", "utf-8")
+        with pytest.raises(CorpusStoreError) as err:
+            list(read_corpus_store(path))
+        assert err.value.line_no == 2
+        assert f"{path}:2" in str(err.value) and repr(field) in str(err.value)
+
     def test_error_carries_path(self, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text("not json\n", "utf-8")

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import tracemalloc
 
@@ -14,7 +15,6 @@ from namelink.names import build_author_registry, name_forms, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
     EVAL_BATCH,
-    NameTable,
     PackedRows,
     SampleBank,
     Split,
@@ -142,7 +142,7 @@ def one_entry_bank(record, position, enc, seed=None):
     """The bank of a single entry, its j drawn from ``seed`` when given."""
     bank = SampleBank([BlockEntry(record, position)], class_index_for(record), enc)
     if seed is not None:
-        bank.assign_coauthors(np.random.default_rng(seed))
+        bank.assign_coauthors(np.random.default_rng(seed), slice(0, bank.n_samples))
     return bank
 
 
@@ -257,7 +257,7 @@ class TestSampleBank:
         block = self.make_block()
         enc = default_encoders()
         bank = SampleBank(block.entries, block.class_index, enc)
-        bank.assign_coauthors(np.random.default_rng(7))
+        bank.assign_coauthors(np.random.default_rng(7), slice(0, bank.n_samples))
         bank_x1, bank_x2 = all_rows(bank)
 
         # oracle: one j per position p, entry by entry; a solo record pairs "" with ""
@@ -285,9 +285,9 @@ class TestSampleBank:
         block = self.make_block()
         bank = SampleBank(block.entries, block.class_index, default_encoders())
         x1, x2 = all_rows(bank)
-        bank.assign_coauthors(np.random.default_rng(8))
+        bank.assign_coauthors(np.random.default_rng(8), slice(0, bank.n_samples))
         first = all_rows(bank)[0]
-        bank.assign_coauthors(np.random.default_rng(9))
+        bank.assign_coauthors(np.random.default_rng(9), slice(0, bank.n_samples))
         redrawn_x1, redrawn_x2 = all_rows(bank)
         np.testing.assert_array_equal(redrawn_x1[:, :200], x1[:, :200])
         np.testing.assert_array_equal(redrawn_x2, x2)
@@ -296,18 +296,38 @@ class TestSampleBank:
     def test_reassignment_reproducible(self):
         block = self.make_block()
         bank = SampleBank(block.entries, block.class_index, default_encoders())
-        bank.assign_coauthors(np.random.default_rng(10))
+        bank.assign_coauthors(np.random.default_rng(10), slice(0, bank.n_samples))
         snap = all_rows(bank)[0]
-        bank.assign_coauthors(np.random.default_rng(11))
-        bank.assign_coauthors(np.random.default_rng(10))
+        bank.assign_coauthors(np.random.default_rng(11), slice(0, bank.n_samples))
+        bank.assign_coauthors(np.random.default_rng(10), slice(0, bank.n_samples))
         np.testing.assert_array_equal(all_rows(bank)[0], snap)
+
+    def test_reassigning_a_row_range_leaves_the_other_rows(self):
+        block = self.make_block()
+        enc = default_encoders()
+        bank = SampleBank(block.entries, block.class_index, enc)
+        # the first two entries as the train rows, the other two as the validation rows
+        train, val = slice(0, int(bank.entry_start[2])), slice(int(bank.entry_start[2]), bank.n_samples)
+        bank.assign_coauthors(np.random.default_rng(3), val)
+        val_j = bank._j_ids[val].copy()
+        # the validation rows draw as a bank of their entries alone does
+        alone = SampleBank(block.entries[2:], block.class_index, enc)
+        alone.assign_coauthors(np.random.default_rng(3), slice(0, alone.n_samples))
+        np.testing.assert_array_equal(bank.rows(val)[0], all_rows(alone)[0])
+        rng = np.random.default_rng(4)
+        drawn = set()
+        for _ in range(4):
+            bank.assign_coauthors(rng, train)
+            np.testing.assert_array_equal(bank._j_ids[val], val_j)
+            drawn.add(bank._j_ids[train].tobytes())
+        assert len(drawn) > 1
 
     def test_rows_of_a_shuffled_batch_match_the_full_rows(self):
         block = self.make_block()
         bank = SampleBank(block.entries, block.class_index, default_encoders())
         rng = np.random.default_rng(12)
         for draw in range(2):
-            bank.assign_coauthors(rng)
+            bank.assign_coauthors(rng, slice(0, bank.n_samples))
             full_x1, full_x2 = all_rows(bank)
             idx = rng.permutation(bank.n_samples)[:11]
             x1, x2 = bank.rows(idx)
@@ -323,11 +343,11 @@ class TestSampleBank:
         block = self.make_block()
         enc = default_encoders()
         bank = SampleBank(block.entries, block.class_index, enc)
-        bank.assign_coauthors(np.random.default_rng(13))
+        bank.assign_coauthors(np.random.default_rng(13), slice(0, bank.n_samples))
         records = [e.record for e in block.entries]
         text64 = np.stack([0.5 * (enc.text(r.title) + enc.text(r.source)) for r in records])
         for idx in (np.random.default_rng(14).permutation(bank.n_samples)[:11], slice(3, 14)):
-            vectors = bank._names.matrix()
+            vectors = bank._names
             first = vectors[bank._first_ids[idx]]
             x1_64 = name_input(first, vectors, bank._p_ids[idx], bank._j_ids[idx])
             x1, x2 = bank.rows(idx)
@@ -338,7 +358,7 @@ class TestSampleBank:
     def test_forward_batch_reads_bank_rows_without_a_copy(self):
         block = self.make_block()
         bank = SampleBank(block.entries, block.class_index, default_encoders())
-        bank.assign_coauthors(np.random.default_rng(15))
+        bank.assign_coauthors(np.random.default_rng(15), slice(0, bank.n_samples))
         cfg = ModelConfig(n_classes=block.n_classes, input1_dim=2 * bank.name_dim, input2_dim=bank.text_dim)
         params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
         idx = np.arange(5)
@@ -431,8 +451,8 @@ class TestPackedTextRows:
 
 class TestSampleBankMemory:
     """A bank holds what its rows are built from, not the rows: per entry
-    the set values of its text row, per distinct name one vector that a
-    block's two banks share, per row a few indices."""
+    the set values of its text row, per distinct name one vector, per row a
+    few indices."""
 
     # fixed overhead of a bank build besides its arrays: Python objects of
     # the entries, the name strings and the dicts that intern them
@@ -489,39 +509,32 @@ class TestSampleBankMemory:
         assert not holds_vectors(enc.text)
 
     def test_traced_peak_is_per_entry_and_per_name(self):
-        """A block's train and validation banks, built as training builds
-        them: their text costs the set values of each entry's text row, and
-        each name they use is stored once."""
+        """A block's bank over its train and validation entries, built as
+        training builds it: its text costs the set values of each entry's
+        text row, and each name it uses is stored once."""
         block = self.make_block(n_records=400)
         enc = default_encoders()
         train_entries, val_entries = block.entries[0::2], block.entries[1::2]
 
         def build():
-            names = NameTable()
-            banks = [SampleBank(e, block.class_index, enc, names) for e in (train_entries, val_entries)]
-            names.matrix()
-            return banks
+            bank = SampleBank(train_entries + val_entries, block.class_index, enc)
+            bank._names  # stacked on first use
+            return bank
 
-        # the first build fills the name encoder's cache, which the banks do not own
+        # the first build fills the name encoder's cache, which the bank does not own
         build()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            banks = build()
+            bank = build()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         records = [e.record for e in block.entries]
         text32 = text_input(enc.text, [r.title for r in records], [r.source for r in records]).astype(np.float32)
-        text_dim = banks[0].text_dim
         # per entry its set values, one bit per column and where its values start
-        text_bytes = 4 * np.count_nonzero(text32.view(np.uint32)) + len(records) * (text_dim // 8 + 8)
-        bound = (
-            text_bytes
-            + self.distinct_names(block) * banks[0].name_dim * 8
-            + sum(b.n_samples for b in banks) * 64
-            + self.SLACK
-        )
+        text_bytes = 4 * np.count_nonzero(text32.view(np.uint32)) + len(records) * (bank.text_dim // 8 + 8)
+        bound = text_bytes + self.distinct_names(block) * bank.name_dim * 8 + bank.n_samples * 64 + self.SLACK
         assert peak - before < bound
 
     def test_train_and_validation_banks_index_one_name_matrix(self, monkeypatch):
@@ -534,15 +547,34 @@ class TestSampleBankMemory:
 
         monkeypatch.setattr(namelink.training.SampleBank, "__init__", keep)
         block = separable_block()
-        result = train_block_model(
-            block, split_per_author(block, seed=1), default_encoders(), TrainRunConfig(max_epochs=1), SMALL_MODEL
-        )
+        split = split_per_author(block, seed=1)
+        result = train_block_model(block, split, default_encoders(), TrainRunConfig(max_epochs=1), SMALL_MODEL)
         assert not result.val_on_train
-        train, val = banks
-        assert np.shares_memory(train._names.matrix(), val._names.matrix())
-        # each author's records share their co-authors, so the two banks use
+        # one bank: the train entries, then the validation entries
+        (bank,) = banks
+        assert len(bank.entry_start) == 1 + len(split.entries(block, Split.TRAIN)) + len(split.entries(block, Split.VAL))
+        # each author's records share their co-authors, so the bank uses
         # every name of the block, and each sits in the matrix once
-        assert len(train._names.matrix()) == TestSampleBankMemory.distinct_names(block)
+        assert len(bank._names) == TestSampleBankMemory.distinct_names(block)
+        assert len(np.unique(bank._names, axis=0)) == len(bank._names)
+
+    def test_training_encodes_each_name_of_the_block_once(self):
+        asked = collections.Counter()
+        hashing = default_encoders().name
+
+        class CountingEncoder:
+            dim = hashing.dim
+
+            def __call__(self, text):
+                asked[text] += 1
+                return hashing(text)
+
+        block = separable_block()
+        enc = default_encoders()._replace(name=CountingEncoder())
+        result = train_block_model(block, split_per_author(block, seed=1), enc, TrainRunConfig(max_epochs=1), SMALL_MODEL)
+        assert not result.val_on_train
+        assert len(asked) == TestSampleBankMemory.distinct_names(block)
+        assert set(asked.values()) == {1}
 
 
 class TestEvaluateBankMemory:
@@ -556,15 +588,15 @@ class TestEvaluateBankMemory:
     def test_traced_peak_is_float32_rows_and_one_activation_per_layer(self):
         block = TestSampleBankMemory().make_block(n_records=100)
         bank = SampleBank(block.entries, block.class_index, default_encoders())
-        bank.assign_coauthors(np.random.default_rng(17))
+        bank.assign_coauthors(np.random.default_rng(17), slice(0, bank.n_samples))
         assert bank.n_samples >= EVAL_BATCH
         cfg = ModelConfig(n_classes=block.n_classes, input1_dim=2 * bank.name_dim, input2_dim=bank.text_dim)
         params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
-        _evaluate_bank(params, bank)  # the first call's one-off allocations are not the bound's
+        _evaluate_bank(params, bank, slice(0, bank.n_samples))  # the first call's one-off allocations are not the bound's
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            _evaluate_bank(params, bank)
+            _evaluate_bank(params, bank, slice(0, bank.n_samples))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -648,6 +680,32 @@ FAST = TrainRunConfig(max_epochs=25, patience=10, batch_size=16, seed=5)
 
 
 class TestTrainBlockModel:
+    def test_validation_rows_drawn_once_from_their_stream(self, monkeypatch):
+        calls = []
+        real_assign = SampleBank.assign_coauthors
+
+        def spy(self, rng, rows):
+            state = rng.bit_generator.state
+            real_assign(self, rng, rows)
+            calls.append((rows, state, self._j_ids.copy()))
+
+        monkeypatch.setattr(namelink.training.SampleBank, "assign_coauthors", spy)
+        block = separable_block()
+        config = TrainRunConfig(max_epochs=5, patience=10, reassign_interval=2, seed=3)
+        result = train_block_model(block, split_per_author(block, seed=1), default_encoders(), config, SMALL_MODEL)
+        assert len(result.history) == 5 and not result.val_on_train
+        (val, val_state, after_val), *reassigns = calls
+        # the validation stream is the third of the run seed's five
+        val_seq = np.random.SeedSequence(config.seed).spawn(5)[2]
+        assert val_state == np.random.default_rng(val_seq).bit_generator.state
+        assert val.stop == len(after_val)
+        # epochs 1, 3 and 5 redraw the train rows and no other
+        assert len(reassigns) == 3
+        for rows, _, j_ids in reassigns:
+            assert (rows.start, rows.stop) == (0, val.start)
+            np.testing.assert_array_equal(j_ids[val], after_val[val])
+        assert len({j_ids[: val.start].tobytes() for *_, j_ids in reassigns}) > 1
+
     def test_learns_separable_block_and_reproduces(self):
         block = separable_block()
         split = split_per_author(block, seed=1)
