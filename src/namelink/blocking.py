@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .names import AuthorRegistry, atomic_variate, normalize_name
+from .names import AuthorRegistry, normalize_name
 from .records import AuthorId, AuthorMention, BibRecord
 
 
@@ -115,7 +115,7 @@ def block_stats(block: Block) -> BlockStats:
     for record in records.values():
         groups: dict[str, int] = {}
         for mention in record.authors:
-            key = atomic_variate(normalize_name(mention.author_id.base_name)).key()
+            key = normalize_name(mention.author_id.base_name).anv.casefold()
             groups[key] = groups.get(key, 0) + 1
         largest = max(groups.values(), default=0)
         if largest == 2:

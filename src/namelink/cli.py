@@ -60,6 +60,7 @@ from .training import (
     MODE_ANV,
     MODE_FULL,
     Split,
+    SplitAssignment,
     TrainingError,
     TrainRunConfig,
     derive_block_seeds,
@@ -182,14 +183,20 @@ def _slug(variate_key: str) -> str:
     return re.sub(r"\W+", "_", variate_key.casefold()).strip("_")
 
 
+# the TrainRunConfig fields ``train`` takes as flags; each flag's default and type are the field's
+_TRAIN_FLAGS = ("max_epochs", "patience", "reassign_interval", "batch_size", "learning_rate")
+
+
 def _train_config(args) -> TrainRunConfig:
-    return TrainRunConfig(
-        max_epochs=args.max_epochs,
-        patience=args.patience,
-        reassign_interval=args.reassign_interval,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-    )
+    return TrainRunConfig(**{name: getattr(args, name) for name in _TRAIN_FLAGS})
+
+
+def _block_split(block: Block, master_seed: int) -> tuple[SplitAssignment, int, int]:
+    """The split of ``block`` under ``master_seed``, with the block's split
+    and training seeds: the one recipe ``split``, ``train`` and
+    ``evaluate`` share, so evaluation tests on the records training held out."""
+    split_seed, train_seed = derive_block_seeds(master_seed, block.variate_key)
+    return split_per_author(block, split_seed), split_seed, train_seed
 
 
 def _train_block(
@@ -202,8 +209,7 @@ def _train_block(
 ) -> dict:
     """Train one block, write its checkpoint and history, and return its
     manifest summary."""
-    split_seed, train_seed = derive_block_seeds(master_seed, block.variate_key)
-    split = split_per_author(block, split_seed)
+    split, _, train_seed = _block_split(block, master_seed)
     started = time.perf_counter()
     result = train_block_model(block, split, encoders, config=dataclasses.replace(config, seed=train_seed))
     train_s = time.perf_counter() - started
@@ -282,8 +288,7 @@ def _cmd_stats(args) -> dict:
 
 def _cmd_split(args) -> dict:
     (block,) = _load_blocks(args.corpus, [args.block])
-    split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
-    split = split_per_author(block, split_seed)
+    split, split_seed, _ = _block_split(block, args.seed)
     counts = split.counts()
     lines = []
     for author in sorted(split.by_author, key=lambda a: a.render()):
@@ -397,8 +402,7 @@ def _cmd_evaluate(args) -> dict:
         )
     encoders = _build_encoders(args.name_table, args.text_table)
     _check_encoders(bundle, args.checkpoint, encoders)
-    split_seed, _ = derive_block_seeds(args.seed, block.variate_key)
-    split = split_per_author(block, split_seed)
+    split, _, _ = _block_split(block, args.seed)
     report = evaluate_block(bundle.params, block, split, args.mode, encoders, aggregation=args.agg)
     text = render_report(report)
     print(text)
@@ -497,11 +501,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--corpus", default=None)
     p.add_argument("--block", action="append", default=None, help="repeatable")
     p.add_argument("--out", default=None, help="checkpoint path (single block) or directory")
-    p.add_argument("--max-epochs", type=int, default=1000)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--reassign-interval", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
+    for name in _TRAIN_FLAGS:
+        default = getattr(TrainRunConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--name-table", default=None, help="precomputed name-embedding table")
     p.add_argument("--text-table", default=None, help="precomputed text-embedding table")
 

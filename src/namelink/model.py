@@ -452,6 +452,13 @@ def _check_run_fields(path, extra) -> None:
     )
 
 
+def _check_finite(path, flat: np.ndarray) -> None:
+    """Refuse params that hold NaN or infinity, on save as on load."""
+    non_finite = flat.size - int(np.isfinite(flat).sum())
+    if non_finite:
+        raise CheckpointError(f"checkpoint {path}: {non_finite} of {flat.size} params are not finite")
+
+
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
@@ -463,13 +470,15 @@ def save_checkpoint(
     The container is an npz archive of two members, a JSON ``meta`` blob and
     the raw ``params`` vector in its own dtype (float32 or float64), so
     reloads are bit-exact.  Like np.savez, it appends .npz to a ``path``
-    without it; the file is replaced only once fully written.
+    without it; the file is replaced only once fully written.  Parameters
+    that are NaN or infinite are refused, and nothing is written.
     """
     if len(class_index) != params.config.n_classes:
         raise CheckpointError(
             f"class index length {len(class_index)} != n_classes {params.config.n_classes}"
         )
     _check_run_fields(path, extra)
+    _check_finite(path, params.flat)
     meta = {
         "format": CHECKPOINT_FORMAT,
         "config": asdict(params.config),
@@ -521,7 +530,5 @@ def load_checkpoint(path: str | Path) -> CheckpointBundle:
         raise CheckpointError(
             f"checkpoint {path}: params has shape {flat.shape}, the model needs ({config.n_params},)"
         )
-    non_finite = flat.size - int(np.isfinite(flat).sum())
-    if non_finite:
-        raise CheckpointError(f"checkpoint {path}: {non_finite} of {flat.size} params are not finite")
+    _check_finite(path, flat)
     return CheckpointBundle(params=ModelParams(config, flat), class_index=classes, extra=meta["extra"])

@@ -1,10 +1,13 @@
 """Name normalization, variate derivation and the author registry.
 
-Every author is reachable under two name variates: the full normalized name
-and the atomic variate, a two-token ``NormalizedName`` (first-name initial
-plus last name).  The registry indexes both, so ``predict.route_name`` can
-tell how many known authors a name string corresponds to: 0 means a new
-author, 1 a direct assignment, and more than 1 means a block model decides.
+``NormalizedName`` is the one derived-name type.  Its tokens render the
+full name, and its ``anv`` property is the atomic name variate (first-name
+initial plus last name): the one place that rule is written, read both to
+block authors and to write the abbreviated inputs of training and
+prediction.  Every author is reachable under both variates, and the
+registry indexes both, so ``predict.route_name`` can tell how many known
+authors a name string corresponds to: 0 means a new author, 1 a direct
+assignment, and more than 1 means a block model decides.
 """
 
 from __future__ import annotations
@@ -34,6 +37,20 @@ class NormalizedName:
         """All tokens but the last, space-joined; empty for single-token names."""
         return " ".join(self.tokens[:-1])
 
+    @property
+    def anv_first(self) -> str:
+        """The first token's first character, uppercased: ``anv``'s first name."""
+        return self.tokens[0][0].upper()
+
+    @property
+    def anv(self) -> str:
+        """The atomic name variate: ``anv_first``, a space, the last token.
+
+        Single-token names use that token for both roles, so "Madonna" maps
+        to "M Madonna"; this keeps the variate total for degenerate inputs.
+        """
+        return f"{self.anv_first} {self.tokens[-1]}"
+
 
 def normalize_name(raw: str) -> NormalizedName:
     """Canonicalize a printed name: NFC, suffix digits dropped, periods
@@ -50,39 +67,6 @@ def normalize_name(raw: str) -> NormalizedName:
     if not tokens:
         raise ValueError(f"name {raw!r} is empty after normalization")
     return NormalizedName(tokens)
-
-
-def atomic_variate(name: NormalizedName) -> NormalizedName:
-    """First character of the first token, uppercased, plus the last token.
-
-    Single-token names use that token for both roles, so "Madonna" maps to
-    "M Madonna"; this keeps the function total for degenerate inputs.
-    """
-    return NormalizedName((name.tokens[0][0].upper(), name.tokens[-1]))
-
-
-@dataclass(frozen=True)
-class NameForms:
-    """The two renderings of one name, plus the matching target-first-name
-    strings: abbreviated samples never mix with full-name samples, so every
-    consumer picks one column or the other."""
-
-    full: str
-    anv: str
-    full_first: str
-    anv_first: str
-
-
-def name_forms(name: NormalizedName) -> NameForms:
-    """The renderings and first names of ``name`` and of its atomic variate."""
-    tokens = name.tokens
-    initial = tokens[0][0].upper()
-    return NameForms(
-        full=" ".join(tokens),
-        anv=f"{initial} {tokens[-1]}",
-        full_first=" ".join(tokens[:-1]),
-        anv_first=initial,
-    )
 
 
 @dataclass
@@ -121,10 +105,10 @@ class AuthorRegistry:
             return
         name = normalize_name(author.base_name)
         self.authors.add(author)
-        atom = atomic_variate(name)
+        anv = name.anv
         self._full_keys.add(name.key())
-        self._atomic_keys.add(atom.key())
-        for display in (name.render(), atom.render()):
+        self._atomic_keys.add(anv.casefold())
+        for display in (name.render(), anv):
             entry = self.by_variate.setdefault(display.casefold(), VariateEntry(display))
             entry.authors.add(author)
 

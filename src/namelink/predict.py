@@ -23,7 +23,7 @@ import numpy as np
 
 from .encoders import Encoders, text_input
 from .model import ModelParams, run_stack, softmax, split_layers
-from .names import AuthorRegistry, atomic_variate, name_forms, normalize_name
+from .names import AuthorRegistry, normalize_name
 from .records import AuthorId, BibRecord
 from .training import MODE_ANV, MODE_FULL
 
@@ -69,7 +69,7 @@ def route_name(registry: AuthorRegistry, raw_name: str) -> Route:
     if len(candidates) == 1:
         (author,) = candidates
         return Route(RouteKind.UNIQUE, author=author, candidates=candidates)
-    return Route(RouteKind.AMBIGUOUS, variate_key=atomic_variate(name).key(), candidates=candidates)
+    return Route(RouteKind.AMBIGUOUS, variate_key=name.anv.casefold(), candidates=candidates)
 
 
 @dataclass
@@ -109,15 +109,15 @@ def predict_author(
             f"class index has {len(class_index)} authors, model expects {params.config.n_classes}"
         )
 
-    target_forms = name_forms(normalize_name(target_name))
-    pool_forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
-    pool_forms.append(target_forms)
+    target = normalize_name(target_name)
+    names = [normalize_name(m.display_name) for m in record.authors]
+    names.append(target)
     if variate_mode == MODE_FULL:
-        pool = tuple(f.full for f in pool_forms)
-        first = target_forms.full_first
+        pool = tuple(n.render() for n in names)
+        first = target.first_name
     else:
-        pool = tuple(f.anv for f in pool_forms)
-        first = target_forms.anv_first
+        pool = tuple(n.anv for n in names)
+        first = target.anv_first
 
     first_vec = np.asarray(encoders.name(first))
     pool_vecs = np.stack([np.asarray(encoders.name(s)) for s in pool])

@@ -71,7 +71,7 @@ class SynthCorpus:
 def gen_synth(config: SynthConfig) -> SynthCorpus:
     """Generate the corpus; identical configs give identical output."""
     name = normalize_name(config.variate_key)
-    initial = name.tokens[0][0].upper()
+    initial = name.anv_first
     last = name.tokens[-1]
 
     authors: list[AuthorId] = []

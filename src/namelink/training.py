@@ -48,7 +48,7 @@ from .model import (
     init_model,
     loss_and_gradients_batch,
 )
-from .names import name_forms, normalize_name
+from .names import normalize_name
 from .records import AuthorId
 
 MODE_FULL = "FULL"
@@ -236,13 +236,13 @@ class SampleBank:
         entry_labels: list[int] = []
         p_ids: list[int] = []
         for entry in entries:
-            forms = [name_forms(normalize_name(m.display_name)) for m in entry.record.authors]
-            target = forms[entry.position]
-            coauthors = [(f.full, f.anv) for f in forms] if len(forms) > 1 else [("", "")]
+            names = [normalize_name(m.display_name) for m in entry.record.authors]
+            target = names[entry.position]
+            coauthors = [(n.render(), n.anv) for n in names] if len(names) > 1 else [("", "")]
             for full, anv in coauthors:
                 p_ids += [intern(full), intern(anv)]
             entry_pairs.append(len(coauthors))
-            entry_firsts.append((intern(target.full_first), intern(target.anv_first)))
+            entry_firsts.append((intern(target.first_name), intern(target.anv_first)))
             entry_labels.append(class_index[entry.target.author_id])
 
         self.name_dim = encoders.name.dim

@@ -33,7 +33,7 @@ from namelink.model import (
     init_model,
     loss_and_gradients_batch,
 )
-from namelink.names import AuthorRegistry, build_author_registry, name_forms, normalize_name
+from namelink.names import AuthorRegistry, build_author_registry, normalize_name
 from namelink.predict import predict_author
 from namelink.records import AuthorMention, BibRecord
 from namelink.store import read_corpus_store, write_corpus_store
@@ -189,10 +189,10 @@ def test_a3_pairwise_prediction_oracle():
             prediction = predict_author(params, class_index, record, target, mode, enc, agg)
             assert prediction.pair_count == (omega + 1) * omega // 2
 
-            forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
-            forms.append(name_forms(normalize_name(target)))
+            forms = [normalize_name(m.display_name) for m in record.authors]
+            forms.append(normalize_name(target))
             if mode == MODE_FULL:
-                pool, first = [f.full for f in forms], forms[-1].full_first
+                pool, first = [f.render() for f in forms], forms[-1].first_name
             else:
                 pool, first = [f.anv for f in forms], forms[-1].anv_first
             per_pair = []
@@ -227,15 +227,15 @@ def test_a4_sample_generation_law():
             x1, _ = bank.rows(np.arange(bank.n_samples))
             assert x1.shape[0] == 2 * omega
 
-            forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
+            forms = [normalize_name(m.display_name) for m in record.authors]
             target = forms[position]
             # the bank's float32 rows are the float64 oracle rounded once
             f32 = lambda x: np.asarray(x).astype(np.float32)
-            np.testing.assert_array_equal(x1[0::2, :dim], f32(np.tile(enc.name(target.full_first), (omega, 1))))
+            np.testing.assert_array_equal(x1[0::2, :dim], f32(np.tile(enc.name(target.first_name), (omega, 1))))
             np.testing.assert_array_equal(x1[1::2, :dim], f32(np.tile(enc.name(target.anv_first), (omega, 1))))
 
             # p's name per row in each mode; a solo record pairs the empty name
-            fulls = [f.full for f in forms] if omega > 1 else [""]
+            fulls = [f.render() for f in forms] if omega > 1 else [""]
             anvs = [f.anv for f in forms] if omega > 1 else [""]
             for k in range(len(fulls)):
                 js = []

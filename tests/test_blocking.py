@@ -8,7 +8,7 @@ from namelink.blocking import (
     render_block_stats,
     render_corpus_stats,
 )
-from namelink.names import atomic_variate, build_author_registry, normalize_name
+from namelink.names import build_author_registry, normalize_name
 from namelink.records import AuthorMention, BibRecord
 
 
@@ -42,7 +42,7 @@ def registry():
 
 def atomic_keys(registry):
     """Case-folded atomic variate of every registered author: the block keys."""
-    return {atomic_variate(normalize_name(a.base_name)).key() for a in registry.authors}
+    return {normalize_name(a.base_name).anv.casefold() for a in registry.authors}
 
 
 class TestBuildBlock:

@@ -321,6 +321,11 @@ class TestSplit:
 
 
 class TestTrain:
+    def test_flag_defaults_are_the_run_config_defaults(self):
+        parser, _ = build_parser()
+        args = parser.parse_args(["train"])
+        assert namelink.cli._train_config(args) == namelink.training.TrainRunConfig()
+
     def test_checkpoint_and_history_written(self, ws):
         assert Path(ws["ckpt"]).exists()
         history = Path(ws["ckpt"] + ".history.ndjson")

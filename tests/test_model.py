@@ -604,12 +604,32 @@ class TestCheckpoint:
     def test_non_finite_params_refused(self, tmp_path, dtype):
         params = self.make_params()
         flat = params.flat.astype(dtype)
-        flat[[0, 5, -1]] = [np.nan, np.inf, -np.inf]
         path = tmp_path / "model.npz"
         save_checkpoint(path, ModelParams(params.config, flat), self.classes(), RUN_FIELDS)
+        # save_checkpoint refuses such params, so they are written into the file directly
+        with np.load(path) as archive:
+            meta = archive["meta"]
+        flat[[0, 5, -1]] = [np.nan, np.inf, -np.inf]
+        np.savez(path, meta=meta, params=flat)
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
         assert str(err.value) == f"checkpoint {path}: 3 of {flat.size} params are not finite"
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_params_refused_on_save(self, tmp_path, dtype):
+        """Refused with load_checkpoint's message, and the file already at
+        the path keeps its bytes."""
+        params = self.make_params()
+        path = tmp_path / "model.npz"
+        save_checkpoint(path, params, self.classes(), RUN_FIELDS)
+        before = path.read_bytes()
+        flat = params.flat.astype(dtype)
+        flat[[0, 5, -1]] = [np.nan, np.inf, -np.inf]
+        with pytest.raises(CheckpointError) as err:
+            save_checkpoint(path, ModelParams(params.config, flat), self.classes(), RUN_FIELDS)
+        assert str(err.value) == f"checkpoint {path}: 3 of {flat.size} params are not finite"
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.npz"]
 
     def test_every_truncation_rejected(self, tmp_path):
         """A checkpoint cut anywhere, down to an empty file, is refused as a

@@ -1,21 +1,17 @@
 import re
 import unicodedata
 
+import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from namelink.names import (
-    AuthorRegistry,
-    NameForms,
-    NormalizedName,
-    atomic_variate,
-    build_author_registry,
-    name_forms,
-    normalize_name,
-)
+from namelink.blocking import build_block
+from namelink.encoders import Encoders, HashingTextEncoder
+from namelink.names import AuthorRegistry, build_author_registry, normalize_name
 from namelink.predict import RouteKind, route_name
 from namelink.records import AuthorId, AuthorMention, BibRecord, parse_author_id
+from namelink.training import SampleBank
 
 
 def record(key: str, *names: str) -> BibRecord:
@@ -92,18 +88,40 @@ class TestNormalizeNameProperty:
             assert normalize_name(raw).tokens == want
 
 
+# letters of every case; "ß" uppercases to the two letters "SS"
+NAME_TOKENS = st.text(alphabet=st.characters(categories=("Lu", "Ll", "Lt", "Lo")), min_size=1, max_size=4)
+
+
+class OneHotNames:
+    """A name encoder that gives each string its own unit vector and "" the
+    zero vector, so equal rows mean equal strings."""
+
+    dim = 16
+
+    def __init__(self):
+        self.index: dict[str, int] = {}
+
+    def __call__(self, s: str) -> np.ndarray:
+        vector = np.zeros(self.dim)
+        if s:
+            vector[self.index.setdefault(s, len(self.index))] = 1.0
+        return vector
+
+
 class TestAtomicVariate:
     def test_initial_plus_last(self):
-        assert atomic_variate(normalize_name("Lei Wang")).render() == "L Wang"
+        assert normalize_name("Lei Wang").anv == "L Wang"
 
     def test_lowercase_initial_uppercased(self):
-        assert atomic_variate(normalize_name("lei wang")).render() == "L wang"
+        assert normalize_name("lei wang").anv == "L wang"
+        # an initial may uppercase to more than one character
+        assert normalize_name("ßen li").anv == "SS li"
 
     def test_middle_names_dropped(self):
-        assert atomic_variate(normalize_name("Ana Maria Silva")).render() == "A Silva"
+        assert normalize_name("Ana Maria Silva").anv == "A Silva"
 
     def test_single_token(self):
-        assert atomic_variate(normalize_name("Madonna")).render() == "M Madonna"
+        assert normalize_name("Madonna").anv == "M Madonna"
 
     def test_variate_set_of_full_name(self):
         reg = build_author_registry([record("k", "Lei Wang")])
@@ -113,21 +131,39 @@ class TestAtomicVariate:
         reg = build_author_registry([record("k", "L Wang")])
         assert {e.display for e in reg.by_variate.values()} == {"L Wang"}
 
-    def test_name_forms_columns(self):
-        f = name_forms(normalize_name("Lei Wang"))
-        assert (f.full, f.anv, f.full_first, f.anv_first) == ("Lei Wang", "L Wang", "Lei", "L")
+    def test_full_and_abbreviated_forms(self):
+        name = normalize_name("Lei Wang")
+        assert (name.render(), name.anv, name.first_name, name.anv_first) == ("Lei Wang", "L Wang", "Lei", "L")
 
-    @given(
-        st.lists(
-            st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs", "Zs", "Zl", "Zp")), min_size=1),
-            min_size=1,
-            max_size=5,
-        )
-    )
-    def test_name_forms_match_atomic_variate_composition(self, tokens):
-        name = NormalizedName(tuple(tokens))
-        atom = atomic_variate(name)
-        assert name_forms(name) == NameForms(name.render(), atom.render(), name.first_name, atom.first_name)
+    @given(first=NAME_TOKENS, last=NAME_TOKENS, coauthor=NAME_TOKENS)
+    @example(first="ßen", last="Li", coauthor="Wu")
+    @settings(deadline=None)
+    def test_routing_registry_and_bank_share_the_variate(self, first, last, coauthor):
+        """Routing's block key, the registry's atomic display and the bank's
+        abbreviated rows are all read off the one ``NormalizedName``."""
+        raw = f"{first} {last}"
+        name = normalize_name(raw)
+        # two homonyms share the full name, so routing it is ambiguous
+        corpus = [record("k1", f"{raw} 0001", coauthor), record("k2", f"{raw} 0002")]
+        registry = build_author_registry(corpus)
+        route = route_name(registry, raw)
+        assert route.kind is RouteKind.AMBIGUOUS
+        assert route.variate_key == registry.display_variate(name.anv).casefold() == name.anv.casefold()
+
+        block = build_block(corpus, registry, route.variate_key)
+        encoder = OneHotNames()
+        bank = SampleBank(block.entries, block.class_index, Encoders(encoder, HashingTextEncoder()))
+        # before the first co-author draw the j slot is "", the zero vector
+        x1, _ = bank.rows(np.arange(bank.n_samples))
+        dim = encoder.dim
+        for e, entry in enumerate(block.entries):
+            names = [normalize_name(m.display_name) for m in entry.record.authors]
+            anvs = [n.anv for n in names] if len(names) > 1 else [""]
+            abbreviated = x1[bank.entry_start[e] + 1 : bank.entry_start[e + 1] : 2]
+            assert len(abbreviated) == len(anvs)
+            for row, anv in zip(abbreviated, anvs):
+                np.testing.assert_array_equal(row[:dim], encoder(names[entry.position].anv_first))
+                np.testing.assert_array_equal(row[dim:], 0.5 * encoder(anv))
 
 
 class TestRegistry:
@@ -178,7 +214,7 @@ class TestRegistry:
 
     def test_atomic_keys(self):
         reg = self.build()
-        assert {atomic_variate(normalize_name(a.base_name)).key() for a in reg.authors} == {
+        assert {normalize_name(a.base_name).anv.casefold() for a in reg.authors} == {
             "l wang",
             "b li",
             "m madonna",

@@ -17,7 +17,7 @@ from namelink.model import (
     save_checkpoint,
     softmax,
 )
-from namelink.names import atomic_variate, build_author_registry, name_forms, normalize_name
+from namelink.names import build_author_registry, normalize_name
 from namelink.predict import (
     AGGREGATIONS,
     PredictionError,
@@ -118,7 +118,7 @@ class TestRoutingProperty:
         matched = set()
         for author in authors:
             name = normalize_name(author.base_name)
-            if key in (name.key(), atomic_variate(name).key()):
+            if key in (name.key(), name.anv.casefold()):
                 matched.add(author)
         return frozenset(matched)
 
@@ -140,7 +140,7 @@ class TestRoutingProperty:
                 assert (route.kind, route.author, route.variate_key) == (RouteKind.UNIQUE, *want, None)
             else:
                 assert route.kind is RouteKind.AMBIGUOUS and route.author is None
-                assert route.variate_key == atomic_variate(normalize_name(query)).key()
+                assert route.variate_key == normalize_name(query).anv.casefold()
 
 
 CLASSES = [AuthorId("Wei Fan", 0), AuthorId("Wen Fan", 0), AuthorId("W Fan", 0)]
@@ -152,11 +152,11 @@ SMALL = ModelConfig(
 
 def brute_force(params, record, target_name, variate_mode, encoders, aggregation):
     """Re-derive the scores pair by pair, building each pair's input inline."""
-    forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
-    forms.append(name_forms(normalize_name(target_name)))
+    forms = [normalize_name(m.display_name) for m in record.authors]
+    forms.append(normalize_name(target_name))
     if variate_mode == MODE_FULL:
-        pool = [f.full for f in forms]
-        first = forms[-1].full_first
+        pool = [f.render() for f in forms]
+        first = forms[-1].first_name
     else:
         pool = [f.anv for f in forms]
         first = forms[-1].anv_first

@@ -11,7 +11,7 @@ import namelink.training
 from namelink.blocking import BlockEntry, build_block
 from namelink.encoders import HashingTextEncoder, TableEncoder, default_encoders, name_input, text_input
 from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
-from namelink.names import build_author_registry, name_forms, normalize_name
+from namelink.names import build_author_registry, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
     EVAL_BATCH,
@@ -265,13 +265,13 @@ class TestSampleBank:
         i = 0
         for entry in block.entries:
             record = entry.record
-            forms = [name_forms(normalize_name(m.display_name)) for m in record.authors]
+            forms = [normalize_name(m.display_name) for m in record.authors]
             target = forms[entry.position]
             omega = len(forms)
             x2 = 0.5 * (enc.text(record.title) + enc.text(record.source))
             for p in range(omega):
                 j = int(replay.integers(omega)) if omega > 1 else None
-                modes = ((target.full_first, [f.full for f in forms]), (target.anv_first, [f.anv for f in forms]))
+                modes = ((target.first_name, [f.render() for f in forms]), (target.anv_first, [f.anv for f in forms]))
                 for first, names in modes:
                     pair = (names[p], names[j]) if j is not None else ("", "")
                     x1 = np.concatenate([enc.name(first), 0.5 * (enc.name(pair[0]) + enc.name(pair[1]))])
@@ -479,9 +479,9 @@ class TestSampleBankMemory:
     def distinct_names(block):
         names = {""}
         for entry in block.entries:
-            forms = [name_forms(normalize_name(m.display_name)) for m in entry.record.authors]
-            names |= {f.full for f in forms} | {f.anv for f in forms}
-            names |= {forms[entry.position].full_first, forms[entry.position].anv_first}
+            forms = [normalize_name(m.display_name) for m in entry.record.authors]
+            names |= {f.render() for f in forms} | {f.anv for f in forms}
+            names |= {forms[entry.position].first_name, forms[entry.position].anv_first}
         return len(names)
 
     def test_no_array_holds_a_float_row_per_sample(self):
