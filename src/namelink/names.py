@@ -116,6 +116,10 @@ class AuthorRegistry:
         for mention in record.authors:
             self.add_author(mention.author_id)
 
+    def is_atomic(self, key: str) -> bool:
+        """Whether the case-folded ``key`` is some author's atomic variate."""
+        return key in self._atomic_keys
+
     def display_variate(self, key: str) -> str:
         return self.by_variate[key.casefold()].display
 

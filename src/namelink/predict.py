@@ -57,19 +57,24 @@ class Route:
 def route_name(registry: AuthorRegistry, raw_name: str) -> Route:
     """NEW when no registry author matches the name's full or atomic variate
     key, UNIQUE with the matched author when exactly one does, AMBIGUOUS with
-    the block key otherwise.  A name that normalizes to nothing is NEW."""
+    the block key otherwise.  The block key is the name's own key when that
+    is an atomic variate of the registry, else its ``anv``'s: "SS Li", the
+    variate of "ßen Li", names that block though its own ``anv`` is "S Li".
+    A name that normalizes to nothing is NEW."""
     try:
         name = normalize_name(raw_name)
     except ValueError:
         return Route(RouteKind.NEW)
-    entry = registry.by_variate.get(name.key())
+    key = name.key()
+    entry = registry.by_variate.get(key)
     if entry is None:
         return Route(RouteKind.NEW)
     candidates = frozenset(entry.authors)
     if len(candidates) == 1:
         (author,) = candidates
         return Route(RouteKind.UNIQUE, author=author, candidates=candidates)
-    return Route(RouteKind.AMBIGUOUS, variate_key=name.anv.casefold(), candidates=candidates)
+    variate_key = key if registry.is_atomic(key) else name.anv.casefold()
+    return Route(RouteKind.AMBIGUOUS, variate_key=variate_key, candidates=candidates)
 
 
 @dataclass

@@ -13,7 +13,9 @@ epochs, and returns the parameters of the best validation-accuracy epoch,
 not the last.  The bank keeps no rows: each batch's inputs are assembled
 as the loop reaches it, already in the parameters' dtype, so the model
 reads them without a copy.  A block has one bank: its train entries' rows,
-then its validation entries' rows, which are scored after every epoch.
+then its validation entries' rows, which are scored after every epoch
+``EVAL_BATCH`` (256) rows at a time, so scoring holds one slice's inputs
+and activations however many validation rows the block has.
 Input one comes from the rows of the bank's float64 name matrix, each
 distinct name encoded and stored once, into one reused buffer; input two
 is unpacked from each entry's float32 text row, which the bank holds as its
@@ -399,13 +401,20 @@ def history_lines(history: Iterable[EpochStats]) -> list[str]:
     ]
 
 
-# rows per forward pass when a bank is scored
-EVAL_BATCH = 1024
+# rows per forward pass when a bank is scored; fixed, not the training batch
+# size, so the validation loss does not depend on --batch-size
+EVAL_BATCH = 256
 
 
 def _evaluate_bank(params: ModelParams, bank: SampleBank, rows: slice) -> tuple[float, float]:
     """Unweighted mean cross-entropy and argmax accuracy over the rows
-    ``rows`` (a slice start:stop) of a frozen bank."""
+    ``rows`` (a slice start:stop) of a frozen bank.
+
+    The rows are scored ``EVAL_BATCH`` at a time through one reused x1
+    buffer, so the peak is one slice's float32 inputs and activations,
+    whatever the range's length.  A pass of a different number of rows may
+    round a row's probabilities differently in the last bits, so the slice
+    size is part of what the validation loss is."""
     total_loss = 0.0
     total_correct = 0
     n = rows.stop - rows.start
@@ -418,6 +427,9 @@ def _evaluate_bank(params: ModelParams, bank: SampleBank, rows: slice) -> tuple[
         p_true = probs[np.arange(stop - start), labels]
         total_loss += float(-np.log(np.maximum(p_true, LOG_FLOOR)).sum())
         total_correct += int((probs.argmax(axis=1) == labels).sum())
+        # freed before the next slice's rows are built, so no two slices'
+        # text rows or probabilities are alive together
+        del x2, probs
     return total_loss / n, total_correct / n
 
 
@@ -486,6 +498,8 @@ def train_block_model(
     adam = init_adam_state(params, lr=config.learning_rate)
     monitor = TrainingMonitor(config.patience)
     history: list[EpochStats] = []
+    # one buffer, overwritten on each checkpointed epoch: an old and a new
+    # copy are never alive together
     best_params = params.copy()
     stopped_early = False
     epoch_seconds: list[float] = []
@@ -513,7 +527,7 @@ def train_block_model(
         val_loss, val_accuracy = _evaluate_bank(params, bank, val_rows)
         checkpointed = monitor.observe(epoch, val_loss, val_accuracy)
         if checkpointed:
-            best_params = params.copy()
+            np.copyto(best_params.flat, params.flat)
         history.append(EpochStats(epoch, epoch_loss / n, val_loss, val_accuracy, checkpointed))
         epoch_seconds.append(time.perf_counter() - started)
         if monitor.should_stop:

@@ -10,7 +10,7 @@ import namelink.cli
 import namelink.training
 from namelink.cli import build_parser, main
 from namelink.model import load_checkpoint, save_checkpoint
-from namelink.records import AuthorId
+from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.store import load_corpus, write_corpus_store
 from namelink.synth import SynthConfig, gen_synth
 
@@ -908,6 +908,22 @@ class TestPredict:
         assert rc == 1
         assert "AMBIGUOUS\tY Chen\t3 candidates" in captured.out
         assert "checkpoint" in captured.err
+
+    def test_variate_that_is_not_its_own_anv_without_checkpoint(self, tmp_path, capsys):
+        # the registry's variate of "ßen Li" and "ßa Li" is "SS Li"; the anv
+        # of the query "SS Li" is "S Li", which no author has
+        corpus, manifest = tmp_path / "c.ndjson", tmp_path / "m"
+        records = [
+            BibRecord(f"k/{i}", "article", "T", "J.", 2012, (AuthorMention.from_raw(name),))
+            for i, name in enumerate(["ßen Li", "ßa Li"])
+        ]
+        write_corpus_store(records, corpus)
+        rc = main(["predict", "--corpus", str(corpus), "--name", "SS Li", "--manifest", str(manifest)])
+        captured = capsys.readouterr()
+        assert captured.out.startswith("AMBIGUOUS\tSS Li\t2 candidates\tblock SS Li")
+        assert rc == 1
+        assert "a trained checkpoint is required" in captured.err
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
 
     def test_ambiguous_full_flow(self, ws, capsys):
         rc = main(

@@ -90,6 +90,16 @@ class TestRouting:
         assert route_name(registry, "yan chen").kind is RouteKind.UNIQUE
         assert route_name(registry, "y CHEN").kind is RouteKind.AMBIGUOUS
 
+    def test_atomic_variate_that_is_not_its_own_anv_names_its_block(self):
+        # "ß" uppercases to "SS", so the registry's variate of both authors is
+        # "SS Li", while the anv of the name "SS Li" is "S Li"
+        registry = build_author_registry([rec("s1", "ßen Li"), rec("s2", "ßa Li")])
+        route = route_name(registry, "SS Li")
+        assert route.kind is RouteKind.AMBIGUOUS
+        assert route.variate_key == "ss li"
+        assert registry.display_variate(route.variate_key) == "SS Li"
+        assert {a.base_name for a in route.candidates} == {"ßen Li", "ßa Li"}
+
     def test_default_route_is_empty(self):
         route = Route(RouteKind.NEW)
         assert route.candidates == frozenset()

@@ -578,35 +578,71 @@ class TestSampleBankMemory:
 
 
 class TestEvaluateBankMemory:
-    """Scoring a bank holds one batch of float32 rows and at most one
+    """Scoring a bank holds one slice of float32 rows and at most one
     float32 activation per layer, nothing in float64, no pre-activation and
     no branch output apart from the merge input it is written into."""
 
     # allocations besides the arrays counted: index arrays, Python objects
     SLACK = 256 * 1024
+    # the rows a slice holds, as documented; written out so that a change of
+    # EVAL_BATCH fails the growth test instead of moving its bound along
+    SLICE = 256
 
-    def test_traced_peak_is_float32_rows_and_one_activation_per_layer(self):
+    @staticmethod
+    def scored_bank():
         block = TestSampleBankMemory().make_block(n_records=100)
         bank = SampleBank(block.entries, block.class_index, default_encoders())
         bank.assign_coauthors(np.random.default_rng(17), slice(0, bank.n_samples))
-        assert bank.n_samples >= EVAL_BATCH
         cfg = ModelConfig(n_classes=block.n_classes, input1_dim=2 * bank.name_dim, input2_dim=bank.text_dim)
         params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
         _evaluate_bank(params, bank, slice(0, bank.n_samples))  # the first call's one-off allocations are not the bound's
+        return bank, params
+
+    @staticmethod
+    def traced_peak(params, bank, rows):
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            _evaluate_bank(params, bank, slice(0, bank.n_samples))
+            _evaluate_bank(params, bank, rows)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return peak - before
+
+    def test_traced_peak_is_float32_rows_and_one_activation_per_layer(self):
+        bank, params = self.scored_bank()
+        cfg = params.config
+        assert bank.n_samples >= 4 * EVAL_BATCH
+        peak = self.traced_peak(params, bank, slice(0, bank.n_samples))
         row_bytes = 4 * EVAL_BATCH * (cfg.input1_dim + cfg.input2_dim)
         # the merge input, which holds both branch outputs, every merged
         # layer's output and the logits, and the probabilities
         merge = cfg.branch1_hidden[-1] + cfg.branch2_hidden[-1]
         merged_widths = sum(n_out for _, n_out in cfg.layer_shapes()[-len(cfg.merged_hidden) - 1 :])
         activation_bytes = 4 * EVAL_BATCH * (merge + merged_widths + cfg.n_classes)
-        assert peak - before < row_bytes + activation_bytes + self.SLACK
+        assert peak < row_bytes + activation_bytes + self.SLACK
+
+    def test_traced_peak_does_not_grow_past_one_slice(self):
+        bank, params = self.scored_bank()
+        assert bank.n_samples >= 4 * self.SLICE
+        one = self.traced_peak(params, bank, slice(0, self.SLICE))
+        four = self.traced_peak(params, bank, slice(0, 4 * self.SLICE))
+        # a 256-row slice's float32 inputs alone are about 1.2 MB
+        assert four <= one + 64 * 1024
+
+    def test_accuracy_equals_argmax_oracle_over_the_same_slices(self):
+        bank, params = self.scored_bank()
+        # a range of several slices that neither starts at row 0 nor ends on a slice boundary
+        rows = slice(37, bank.n_samples - 11)
+        assert rows.stop - rows.start > 2 * EVAL_BATCH and (rows.stop - rows.start) % EVAL_BATCH
+        correct = 0
+        for start in range(rows.start, rows.stop, EVAL_BATCH):
+            stop = min(start + EVAL_BATCH, rows.stop)
+            x1, x2 = bank.rows(slice(start, stop))
+            probs, _ = forward_batch(params, x1, x2)
+            correct += int((probs.argmax(axis=1) == bank.labels[start:stop]).sum())
+        _, accuracy = _evaluate_bank(params, bank, rows)
+        assert accuracy == correct / (rows.stop - rows.start)
 
 
 class TestMonitor:
@@ -705,6 +741,20 @@ class TestTrainBlockModel:
             assert (rows.start, rows.stop) == (0, val.start)
             np.testing.assert_array_equal(j_ids[val], after_val[val])
         assert len({j_ids[: val.start].tobytes() for *_, j_ids in reassigns}) > 1
+
+    def test_best_params_hold_the_best_epoch_after_training_goes_on(self):
+        block = separable_block()
+        split = split_per_author(block, seed=1)
+        config = TrainRunConfig(max_epochs=12, patience=50, batch_size=16, learning_rate=3e-2, seed=5)
+        result = train_block_model(block, split, default_encoders(), config, SMALL_MODEL)
+        assert result.best_epoch < len(result.history)
+        assert result.best_params.flat is not result.final_params.flat
+        assert not np.shares_memory(result.best_params.flat, result.final_params.flat)
+        replay = train_block_model(
+            block, split, default_encoders(), dataclasses.replace(config, max_epochs=result.best_epoch), SMALL_MODEL
+        )
+        assert np.array_equal(result.best_params.flat, replay.final_params.flat)
+        assert not np.array_equal(result.best_params.flat, result.final_params.flat)
 
     def test_learns_separable_block_and_reproduces(self):
         block = separable_block()
