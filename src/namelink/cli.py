@@ -44,15 +44,14 @@ from .encoders import (
     TEXT_DIM,
     EmbeddingTableError,
     Encoders,
-    HashingNameEncoder,
-    HashingTextEncoder,
     TableEncoder,
+    default_encoders,
     load_embedding_table,
 )
 from .metrics import EVAL_ALL, EVAL_ANV, EvaluationError, evaluate_block, render_report
 from .model import CheckpointBundle, CheckpointError, load_checkpoint, save_checkpoint
 from .names import build_author_registry
-from .predict import PredictionError, RouteKind, predict_author, render_prediction, route_name
+from .predict import AGGREGATIONS, PredictionError, RouteKind, predict_author, render_prediction, route_name
 from .records import DEFAULT_KINDS
 from .store import CorpusStoreError, atomic_path, load_corpus, read_corpus_store, write_corpus_store
 from .synth import SynthConfig, SynthError, gen_synth
@@ -86,8 +85,8 @@ _OPERATIONAL_ERRORS = (
 
 
 def _build_encoders(name_table: str | None, text_table: str | None) -> Encoders:
-    name = HashingNameEncoder()
-    text = HashingTextEncoder()
+    """The default encoders, each behind the embedding table given for it."""
+    name, text = default_encoders()
     if name_table:
         name = load_embedding_table(name_table, NAME_DIM, name)
     if text_table:
@@ -224,7 +223,7 @@ def _train_block(
         "encoders": fingerprint,
         **_run_identity(result.best_params.flat.dtype),
     }
-    save_checkpoint(checkpoint_path, result.best_params, list(block.authors), extra)
+    checkpoint_path = save_checkpoint(checkpoint_path, result.best_params, list(block.authors), extra)
     with atomic_path(checkpoint_path + ".history.ndjson") as tmp:
         tmp.write_text("\n".join(history_lines(result.history)) + "\n", encoding="utf-8")
     train_samples = int(result.class_counts.sum())
@@ -247,7 +246,11 @@ def _train_block(
 
 def _cmd_ingest(args) -> dict:
     counters = ParseCounters()
-    kinds = frozenset(k.strip() for k in args.kinds.split(",") if k.strip()) if args.kinds else DEFAULT_KINDS
+    kinds = DEFAULT_KINDS
+    if args.kinds is not None:
+        kinds = frozenset(k.strip() for k in args.kinds.split(",") if k.strip())
+        if not kinds:
+            raise ValueError(f"--kinds {args.kinds!r} names no record kind")
     with open(args.xml, "rb") as stream:
         summary = write_corpus_store(
             parse_dblp_stream(stream, kinds_filter=kinds, counters=counters), args.out
@@ -308,9 +311,7 @@ def _cmd_train(args) -> dict:
     keys = args.block
     blocks = _load_blocks(args.corpus, keys)
     if len(keys) == 1 and not str(args.out).endswith("/") and not Path(args.out).is_dir():
-        # np.savez appends .npz to any other name; report the file it writes
-        out = str(args.out)
-        checkpoint_paths = [out if out.endswith(".npz") else out + ".npz"]
+        checkpoint_paths = [str(args.out)]
     else:
         out_dir = Path(args.out)
         checkpoint_paths = [str(out_dir / f"{_slug(key)}.npz") for key in keys]
@@ -357,6 +358,8 @@ def _cmd_predict(args) -> dict:
     record = next((r for r in corpus if r.record_key == args.record_key), None)
     if record is None:
         raise PredictionError(f"record key {args.record_key!r} not in corpus")
+    if not route.candidates & {m.author_id for m in record.authors}:
+        raise PredictionError(f"record {args.record_key!r} lists none of the candidates for {args.name!r}")
     bundle = load_checkpoint(args.checkpoint)
     unknown = route.candidates - set(bundle.class_index)
     if unknown:
@@ -513,7 +516,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--record-key", default=None, help="record whose authorship is in question")
     p.add_argument("--checkpoint", default=None, help="trained block checkpoint")
     p.add_argument("--mode", choices=(EVAL_ALL, EVAL_ANV), default=EVAL_ALL)
-    p.add_argument("--agg", choices=("sum", "max"), default="sum")
+    p.add_argument("--agg", choices=AGGREGATIONS, default="sum")
     p.add_argument("--name-table", default=None)
     p.add_argument("--text-table", default=None)
 
@@ -522,21 +525,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--block", default=None)
     p.add_argument("--checkpoint", default=None)
     p.add_argument("--mode", choices=(EVAL_ALL, EVAL_ANV), default=EVAL_ALL)
-    p.add_argument("--agg", choices=("sum", "max"), default="sum")
+    p.add_argument("--agg", choices=AGGREGATIONS, default="sum")
     p.add_argument("--out", default=None, help="also write the report here")
     p.add_argument("--name-table", default=None)
     p.add_argument("--text-table", default=None)
 
+    # flag defaults are SynthConfig's; n_authors has none, so --authors sets its own
     p = sub("gen-synth", "generate a synthetic separable corpus")
     p.add_argument("--out", default=None, help="output corpus store path")
     p.add_argument("--truth", default=None, help="ground-truth file (default <out>.truth.tsv)")
-    p.add_argument("--block", default="Y Chen", help="shared atomic name variate")
+    p.add_argument("--block", default=SynthConfig.variate_key, help="shared atomic name variate")
     p.add_argument("--authors", type=int, default=20)
-    p.add_argument("--clique", type=int, default=5)
-    p.add_argument("--records-per-author", type=int, default=40)
-    p.add_argument("--vocab", type=int, default=30)
-    p.add_argument("--coauthors-per-record", type=int, default=2)
-    p.add_argument("--share-full-name", action="store_true")
+    p.add_argument("--clique", type=int, default=SynthConfig.clique_size)
+    p.add_argument("--records-per-author", type=int, default=SynthConfig.records_per_author)
+    p.add_argument("--vocab", type=int, default=SynthConfig.vocab_size)
+    p.add_argument("--coauthors-per-record", type=int, default=SynthConfig.coauthors_per_record)
+    p.add_argument("--share-full-name", action="store_true", default=SynthConfig.share_full_name)
 
     return parser, subs
 

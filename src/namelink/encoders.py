@@ -12,11 +12,11 @@ and processes.  Real pretrained vectors can be injected through
 :class:`TableEncoder`, a key->vector table with built-in fallback on misses.
 
 The classifier's two inputs are built from these encoders by
-:func:`name_input` and :func:`text_rows` (or :func:`text_input`, its rows as
-one matrix), the one feature recipe that training and prediction share:
-input one is the target's first-name vector concatenated with the mean of
-two co-author name vectors (400 dims); input two is the mean of the title
-and source vectors (768 dims).
+:func:`name_input` and :func:`text_rows`, the one feature recipe that
+training and prediction share: input one is the target's first-name vector
+concatenated with the mean of two co-author name vectors (400 dims); input
+two is the mean of the title and source vectors (768 dims), one row per
+record.
 """
 
 from __future__ import annotations
@@ -288,13 +288,3 @@ def text_rows(
         for text in (title, source):
             if last_row[text] == i:
                 vectors.pop(text, None)
-
-
-def text_input(
-    text_encoder: Callable[[str], np.ndarray], titles: Sequence[str], sources: Sequence[str]
-) -> np.ndarray:
-    """Input two as one float64 matrix, the rows of :func:`text_rows`."""
-    out = np.empty((len(titles), text_encoder.dim))
-    for i, row in enumerate(text_rows(text_encoder, titles, sources)):
-        out[i] = row
-    return out

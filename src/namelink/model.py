@@ -46,6 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .encoders import NAME_DIM, TEXT_DIM
 from .records import AuthorId
 from .store import atomic_path
 
@@ -65,8 +66,8 @@ ADAM_EPS = 1e-8
 @dataclass(frozen=True)
 class ModelConfig:
     n_classes: int
-    input1_dim: int = 400
-    input2_dim: int = 768
+    input1_dim: int = 2 * NAME_DIM
+    input2_dim: int = TEXT_DIM
     branch1_hidden: tuple[int, ...] = (256,)
     branch2_hidden: tuple[int, ...] = (256,)
     merged_hidden: tuple[int, ...] = (256, 128)
@@ -361,7 +362,7 @@ def init_adam_state(params: ModelParams, lr: float = 1e-3) -> AdamState:
     return AdamState(t=0, lr=lr, m=np.zeros(n, dtype), v=np.zeros(n, dtype))
 
 
-def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> tuple[ModelParams, AdamState]:
+def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on ``params.flat``.
 
     ``grad_flat`` is overwritten: it serves as scratch and on return holds
@@ -409,7 +410,6 @@ def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> t
         g /= buf
         g *= state.lr
         params.flat[lo:hi] -= g
-    return params, state
 
 
 def class_weights(counts: Sequence[int]) -> np.ndarray:
@@ -464,14 +464,16 @@ def save_checkpoint(
     params: ModelParams,
     class_index: Sequence[AuthorId],
     extra: dict,
-) -> None:
-    """Persist a model for prediction: its parameters, topology and classes.
+) -> str:
+    """Persist a model for prediction: its parameters, topology and classes;
+    returns the path written.
 
     The container is an npz archive of two members, a JSON ``meta`` blob and
     the raw ``params`` vector in its own dtype (float32 or float64), so
     reloads are bit-exact.  Like np.savez, it appends .npz to a ``path``
-    without it; the file is replaced only once fully written.  Parameters
-    that are NaN or infinite are refused, and nothing is written.
+    without it, so ``m.ckpt`` is written as ``m.ckpt.npz``; the file is
+    replaced only once fully written.  Parameters that are NaN or infinite
+    are refused, and nothing is written.
     """
     if len(class_index) != params.config.n_classes:
         raise CheckpointError(
@@ -487,8 +489,10 @@ def save_checkpoint(
     }
     meta_bytes = np.frombuffer(json.dumps(meta, ensure_ascii=False).encode("utf-8"), dtype=np.uint8)
     path = str(path)
-    with atomic_path(path if path.endswith(".npz") else path + ".npz") as tmp:
+    path = path if path.endswith(".npz") else path + ".npz"
+    with atomic_path(path) as tmp:
         np.savez(tmp, meta=meta_bytes, params=params.flat)
+    return path
 
 
 @dataclass

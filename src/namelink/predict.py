@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .encoders import Encoders, text_input
+from .encoders import Encoders, text_rows
 from .model import ModelParams, run_stack, softmax, split_layers
 from .names import AuthorRegistry, normalize_name
 from .records import AuthorId, BibRecord
@@ -126,7 +126,7 @@ def predict_author(
 
     first_vec = np.asarray(encoders.name(first))
     pool_vecs = np.stack([np.asarray(encoders.name(s)) for s in pool])
-    text_row = text_input(encoders.text, [record.title], [record.source])
+    text_row = next(text_rows(encoders.text, [record.title], [record.source]))
     probs = forward_batched(params, first_vec, pool_vecs, text_row)
     pair_count = probs.shape[0]
     if aggregation == "sum":

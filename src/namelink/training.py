@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -387,18 +387,8 @@ class TrainResult:
 
 
 def history_lines(history: Iterable[EpochStats]) -> list[str]:
-    return [
-        json.dumps(
-            {
-                "epoch": h.epoch,
-                "train_loss": h.train_loss,
-                "val_loss": h.val_loss,
-                "val_accuracy": h.val_accuracy,
-                "checkpointed": h.checkpointed,
-            }
-        )
-        for h in history
-    ]
+    """One JSON object per epoch, its keys ``EpochStats``'s fields in order."""
+    return [json.dumps(asdict(h)) for h in history]
 
 
 # rows per forward pass when a bank is scored; fixed, not the training batch

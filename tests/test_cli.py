@@ -164,6 +164,22 @@ class TestGenSynth:
         assert "records\t6" in out
         assert "authors\t2" in out
 
+    def test_flag_defaults_are_the_config_defaults(self):
+        # each gen-synth flag and the SynthConfig field it sets
+        fields = {
+            "block": "variate_key",
+            "clique": "clique_size",
+            "records_per_author": "records_per_author",
+            "vocab": "vocab_size",
+            "seed": "seed",
+            "share_full_name": "share_full_name",
+            "coauthors_per_record": "coauthors_per_record",
+        }
+        defaults = {f.name: f.default for f in dataclasses.fields(SynthConfig) if f.default is not dataclasses.MISSING}
+        assert set(fields.values()) == set(defaults)
+        flags = {action.dest: action.default for action in build_parser()[1]["gen-synth"]._actions}
+        assert {flag: flags[flag] for flag in fields} == {flag: defaults[field] for flag, field in fields.items()}
+
 
 class TestStats:
     def test_corpus_table(self, ws, capsys):
@@ -232,6 +248,16 @@ class TestIngest:
         stdout = capsys.readouterr().out
         assert rc == 0
         assert "records\t51" in stdout
+
+    @pytest.mark.parametrize("kinds", [",", " , ", ""])
+    def test_kinds_naming_no_kind_refused(self, tmp_path, capsys, kinds):
+        out, manifest = tmp_path / "c.ndjson", tmp_path / "m"
+        out.write_text("old store", "utf-8")
+        rc = main(["ingest", "--xml", FIXTURE_XML, "--out", str(out), "--kinds", kinds, "--manifest", str(manifest)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: --kinds")
+        assert out.read_text("utf-8") == "old store"
+        assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
 
     def test_author_normalizing_to_nothing_dropped(self, tmp_path, capsys):
         xml = tmp_path / "dash.xml"
@@ -954,6 +980,34 @@ class TestPredict:
         )
         assert rc == 1
         assert "not in corpus" in capsys.readouterr().err
+
+    def test_record_that_lists_no_candidate_rejected(self, tmp_path, capsys):
+        corpus, manifest, ckpt = tmp_path / "c.ndjson", tmp_path / "m", tmp_path / "w.npz"
+        records = [
+            BibRecord(f"k/{name[-1]}{i}", "article", f"T {i}", "J.", 2012, (AuthorMention.from_raw(name),))
+            for name in ("Wei Wang 0001", "Wei Wang 0002")
+            for i in range(8)
+        ]
+        records.append(BibRecord("other", "article", "T", "J.", 2012, (AuthorMention.from_raw("Ann Lee"),)))
+        write_corpus_store(records, corpus)
+        train = ["train", "--corpus", str(corpus), "--block", "W Wang", "--out", str(ckpt), "--max-epochs", "1"]
+        assert main([*train, "--manifest", str(manifest)]) == 0
+        capsys.readouterr()
+        rc = main(
+            [
+                "predict",
+                "--corpus", str(corpus),
+                "--name", "Wei Wang",
+                "--record-key", "other",
+                "--checkpoint", str(ckpt),
+                "--manifest", str(manifest),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.err.startswith("error: record 'other' lists none of the candidates")
+        assert "chosen" not in captured.out
+        assert [e["status"] for e in manifest_entries(manifest)] == ["ok", "error"]
 
     def test_checkpoint_missing_candidates_rejected(self, ws, tmp_path, capsys):
         others = [AuthorId("Other Person", k) for k in range(3)]

@@ -19,12 +19,18 @@ from namelink.encoders import (
     default_encoders,
     load_embedding_table,
     name_input,
-    text_input,
+    text_rows,
 )
 
 
 def cosine(a, b):
     return float(np.dot(a, b))
+
+
+def text_matrix(text_encoder, titles, sources):
+    """The rows of ``text_rows`` as one matrix: each is copied before the
+    next overwrites it."""
+    return np.stack([row.copy() for row in text_rows(text_encoder, titles, sources)])
 
 
 class TestHashingNameEncoder:
@@ -242,7 +248,7 @@ class TestAssembleFeatures:
     def test_shapes(self):
         enc = default_encoders()
         x1 = name_input(enc.name("Wei"), self.vectors(enc), np.array([1, 2, 0]), np.array([2, 0, 0]))
-        x2 = text_input(enc.text, ["title words", "other"], ["venue", ""])
+        x2 = text_matrix(enc.text, ["title words", "other"], ["venue", ""])
         assert x1.shape == (3, 2 * NAME_DIM)
         assert x2.shape == (2, TEXT_DIM)
 
@@ -277,8 +283,8 @@ class TestAssembleFeatures:
 
     def test_empty_source_halves_title_signal(self):
         enc = default_encoders()
-        x2 = text_input(enc.text, ["some title"], [""])
-        np.testing.assert_allclose(x2[0], 0.5 * enc.text("some title"), atol=1e-15)
+        row = next(text_rows(enc.text, ["some title"], [""]))
+        np.testing.assert_allclose(row, 0.5 * enc.text("some title"), atol=1e-15)
 
     def test_each_distinct_string_encoded_once_per_call(self):
         enc = HashingTextEncoder()
@@ -293,18 +299,18 @@ class TestAssembleFeatures:
 
         counting.dim = TEXT_DIM
         titles, sources = ["alpha beta", "gamma", "alpha beta"], ["VLDB", "VLDB", ""]
-        x2 = text_input(counting, titles, sources)
+        x2 = text_matrix(counting, titles, sources)
         assert seen == ["alpha beta", "VLDB", "gamma", ""]
         # a vector is dropped after the last row that reads it
         assert alive[-1] == ["alpha beta"]
         np.testing.assert_array_equal(x2[2], 0.5 * (enc("alpha beta") + enc("")))
         # nothing is kept between calls
-        text_input(counting, titles, sources)
+        text_matrix(counting, titles, sources)
         assert len(seen) == 8
 
     def test_text_rows_follow_records(self):
         enc = default_encoders()
-        x2 = text_input(enc.text, ["alpha beta", "gamma"], ["VLDB", "KDD"])
+        x2 = text_matrix(enc.text, ["alpha beta", "gamma"], ["VLDB", "KDD"])
         np.testing.assert_array_equal(x2[1], 0.5 * (enc.text("gamma") + enc.text("KDD")))
 
 

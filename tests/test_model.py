@@ -27,6 +27,7 @@ from namelink.model import (
     loss_and_gradients_batch,
     save_checkpoint,
 )
+from namelink.encoders import default_encoders
 from namelink.records import AuthorId
 
 TINY = ModelConfig(
@@ -50,6 +51,10 @@ def random_inputs(config, batch, seed=0):
 
 
 class TestConfig:
+    def test_default_input_dims_are_the_default_encoders(self):
+        cfg, enc = ModelConfig(n_classes=2), default_encoders()
+        assert (cfg.input1_dim, cfg.input2_dim) == (2 * enc.name.dim, enc.text.dim)
+
     def test_param_count_matches_shape_arithmetic(self):
         # recount by hand: each layer holds n_in*n_out weights and n_out biases
         cfg = ModelConfig(n_classes=7, input1_dim=400, input2_dim=768)
@@ -380,7 +385,8 @@ class TestAdam:
         params = init_model(TINY)
         before = params.flat.copy()
         state = init_adam_state(params)
-        adam_step(params, np.zeros(params.n_params), state)
+        # the update is in place, so nothing is returned
+        assert adam_step(params, np.zeros(params.n_params), state) is None
         np.testing.assert_array_equal(params.flat, before)
         assert state.t == 1
 
@@ -583,6 +589,12 @@ class TestCheckpoint:
         a, _ = forward_batch(params, x1, x2)
         b, _ = forward_batch(bundle.params, x1, x2)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("name, written", [("m", "m.npz"), ("m.npz", "m.npz"), ("m.ckpt", "m.ckpt.npz")])
+    def test_returns_the_path_written(self, tmp_path, name, written):
+        path = save_checkpoint(tmp_path / name, self.make_params(), self.classes(), RUN_FIELDS)
+        assert path == str(tmp_path / written)
+        assert [p.name for p in tmp_path.iterdir()] == [written]
 
     def test_class_count_mismatch(self, tmp_path):
         path = tmp_path / "model.npz"

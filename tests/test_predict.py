@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from namelink import predict
-from namelink.encoders import default_encoders, name_input, text_input
+from namelink.encoders import default_encoders, name_input
 from namelink.model import (
     ModelConfig,
     ModelParams,
@@ -337,6 +337,12 @@ TOPOLOGIES = {
 }
 
 
+def pool_text_row():
+    """Input two of one record, as a one-row matrix."""
+    enc = default_encoders()
+    return np.atleast_2d(0.5 * (enc.text("pairs of names") + enc.text("Journal")))
+
+
 class TestForwardBatched:
     """The factored pool pass equals the plain forward pass on materialised
     pair rows."""
@@ -352,7 +358,7 @@ class TestForwardBatched:
         dim = config.input1_dim // 2
         first = rng.normal(size=dim)
         pool = rng.normal(size=(n_names, dim))
-        text = text_input(default_encoders().text, ["pairs of names"], ["Journal"])
+        text = pool_text_row()
 
         got = forward_batched(params, first, pool, text)
 
@@ -371,7 +377,7 @@ class TestForwardBatched:
         dim = config.input1_dim // 2
         first = rng.normal(size=dim)
         pool = rng.normal(size=(17, dim))
-        text = text_input(default_encoders().text, ["pairs of names"], ["Journal"])
+        text = pool_text_row()
 
         got = forward_batched(params, first, pool, text)
 

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 import namelink.training
 from namelink.blocking import BlockEntry, build_block
-from namelink.encoders import HashingTextEncoder, TableEncoder, default_encoders, name_input, text_input
+from namelink.encoders import HashingTextEncoder, TableEncoder, default_encoders, name_input
 from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
 from namelink.names import build_author_registry, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
     EVAL_BATCH,
+    EpochStats,
     PackedRows,
     SampleBank,
     Split,
@@ -23,6 +24,7 @@ from namelink.training import (
     TrainingError,
     TrainingMonitor,
     derive_block_seeds,
+    history_lines,
     split_per_author,
     train_block_model,
     _evaluate_bank,
@@ -369,12 +371,19 @@ class TestSampleBank:
 
 def text_bank(titles, sources, text_encoder):
     """A bank with one solo-record entry per (title, source), the text
-    encoder ``text_encoder``, and the float32 ``text_input`` rows as oracle."""
+    encoder ``text_encoder``, and as oracle the float32 rows of input two,
+    each ``(text(title) + text(source)) / 2``."""
     records = [rec(f"t{k}", "Wei Fang", title=t, source=s) for k, (t, s) in enumerate(zip(titles, sources))]
     class_index = {records[0].authors[0].author_id: 0}
     enc = default_encoders()._replace(text=text_encoder)
     bank = SampleBank([BlockEntry(r, 0) for r in records], class_index, enc)
-    return bank, text_input(text_encoder, titles, sources).astype(np.float32)
+    return bank, dense_text_rows(text_encoder, titles, sources)
+
+
+def dense_text_rows(text_encoder, titles, sources):
+    """Input two as a float32 matrix, each row summed and halved in float64."""
+    rows = [0.5 * (text_encoder(title) + text_encoder(source)) for title, source in zip(titles, sources)]
+    return np.array(rows, dtype=np.float32)
 
 
 def assert_same_bits(x, expected):
@@ -389,7 +398,7 @@ def table_text_encoder(table):
 
 class TestPackedTextRows:
     """A bank keeps each text row as its set values; the x2 it rebuilds is
-    the dense float32 ``text_input`` row, bit for bit."""
+    the dense float32 row of input two, bit for bit."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -531,7 +540,7 @@ class TestSampleBankMemory:
         finally:
             tracemalloc.stop()
         records = [e.record for e in block.entries]
-        text32 = text_input(enc.text, [r.title for r in records], [r.source for r in records]).astype(np.float32)
+        text32 = dense_text_rows(enc.text, [r.title for r in records], [r.source for r in records])
         # per entry its set values, one bit per column and where its values start
         text_bytes = 4 * np.count_nonzero(text32.view(np.uint32)) + len(records) * (bank.text_dim // 8 + 8)
         bound = text_bytes + self.distinct_names(block) * bank.name_dim * 8 + bank.n_samples * 64 + self.SLACK
@@ -677,6 +686,15 @@ class TestMonitor:
         monitor.observe(4, 0.8, 0.5)
         monitor.observe(5, 0.8, 0.5)
         assert monitor.should_stop
+
+
+class TestHistoryLines:
+    def test_one_json_object_per_epoch_keyed_in_field_order(self):
+        history = [EpochStats(1, 0.5, 0.25, 0.75, True), EpochStats(2, 0.125, 1e-10, 1.0, False)]
+        assert history_lines(history) == [
+            '{"epoch": 1, "train_loss": 0.5, "val_loss": 0.25, "val_accuracy": 0.75, "checkpointed": true}',
+            '{"epoch": 2, "train_loss": 0.125, "val_loss": 1e-10, "val_accuracy": 1.0, "checkpointed": false}',
+        ]
 
 
 class TestSeeds:
