@@ -52,7 +52,7 @@ from .metrics import EVAL_ALL, EVAL_ANV, EvaluationError, evaluate_block, render
 from .model import CheckpointBundle, CheckpointError, load_checkpoint, save_checkpoint
 from .names import build_author_registry
 from .predict import AGGREGATIONS, PredictionError, RouteKind, predict_author, render_prediction, route_name
-from .records import DEFAULT_KINDS
+from .records import DBLP_KINDS, DEFAULT_KINDS
 from .store import CorpusStoreError, atomic_path, load_corpus, read_corpus_store, write_corpus_store
 from .synth import SynthConfig, SynthError, gen_synth
 from .training import (
@@ -122,15 +122,14 @@ def _encoder_counts(encoders: Encoders) -> dict:
     (training looks up each distinct name and each distinct title or source
     of a block once), and the hit rate of the hashing name encoder's cache (a
     table's fallback sees only the table's misses), null when it was not
-    called; so a single-block ``train`` reads 0.0, and only a later block
-    sharing a name with an earlier one hits.  The text encoder keeps no
-    cache and so reports no rate."""
+    called, as in ``train``, whose sample banks encode uncached.  The text
+    encoder keeps no cache and so reports no rate."""
     counts = {}
     for kind, encoder in (("name", encoders.name), ("text", encoders.text)):
         if isinstance(encoder, TableEncoder):
             counts[f"{kind}_table_misses"] = encoder.miss_count
-    name = encoders.name
-    counts["name_cache_hit_rate"] = (name.fallback if isinstance(name, TableEncoder) else name).hit_rate
+    name = encoders.name.fallback if isinstance(encoders.name, TableEncoder) else encoders.name
+    counts["name_cache_hit_rate"] = name.hits / name.calls if name.calls else None
     return counts
 
 
@@ -249,8 +248,10 @@ def _cmd_ingest(args) -> dict:
     kinds = DEFAULT_KINDS
     if args.kinds is not None:
         kinds = frozenset(k.strip() for k in args.kinds.split(",") if k.strip())
-        if not kinds:
-            raise ValueError(f"--kinds {args.kinds!r} names no record kind")
+        unknown = ", ".join(sorted(kinds - DBLP_KINDS))
+        if unknown or not kinds:
+            what = f"{unknown}, which DBLP does not have" if unknown else "no record kind"
+            raise ValueError(f"--kinds {args.kinds!r} names {what}; the kinds are {', '.join(sorted(DBLP_KINDS))}")
     with open(args.xml, "rb") as stream:
         summary = write_corpus_store(
             parse_dblp_stream(stream, kinds_filter=kinds, counters=counters), args.out

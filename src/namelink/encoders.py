@@ -84,12 +84,12 @@ class HashingNameEncoder:
     input is lowercased, so "J Lee" and "j lee" encode identically.  Output
     has unit L2 norm; the empty string maps to the zero vector.
 
-    The encoder memoizes its first ``CACHE_SIZE`` distinct names, counting
-    the ``calls`` and the ``hits`` served from the cache: a block's names
-    recur across its entries and across the records a resolve run serves.
-    A name it has not seen is built from n-grams that other names share, so
-    it also keeps the (bucket, sign) of its first ``CACHE_SIZE`` distinct
-    n-grams.  Both memos belong to the instance: a new encoder starts cold.
+    Calling the encoder is the serving form: it memoizes its first
+    ``CACHE_SIZE`` distinct names, counting the ``calls`` and the ``hits``
+    served from the cache.  :meth:`encode` is the uncached form a sample
+    bank uses, as the bank keeps each name's vector itself.  Names share
+    n-grams, so both forms keep the (bucket, sign) of the first
+    ``CACHE_SIZE`` distinct ones.  Both memos belong to the instance.
     """
 
     dim = NAME_DIM
@@ -106,17 +106,12 @@ class HashingNameEncoder:
         if cached is not None:
             self.hits += 1
             return cached
-        vec = self._encode(text)
+        vec = self.encode(text)
         if len(self._cache) < CACHE_SIZE:
             self._cache[text] = vec
         return vec
 
-    @property
-    def hit_rate(self) -> float | None:
-        """Share of calls served from the cache; None before the first call."""
-        return self.hits / self.calls if self.calls else None
-
-    def _encode(self, text: str) -> np.ndarray:
+    def encode(self, text: str) -> np.ndarray:
         marked = [f"^{word}$" for word in text.lower().split()]
         grams = [w[i : i + n] for w in marked for n in (1, 2, 3) for i in range(len(w) - n + 1)]
         return _finalize(_bucket_sums(self._buckets, grams, self.dim))
@@ -155,7 +150,8 @@ class EmbeddingTableError(Exception):
 
 class TableEncoder:
     """Exact-key lookup into a precomputed embedding table, falling back to
-    the encoder ``fallback`` on misses (counted in ``miss_count``).
+    the encoder ``fallback`` on misses (counted in ``miss_count``); the
+    uncached :meth:`encode` falls back to ``fallback.encode``.
     ``sha256`` is the digest of the file the table was loaded from."""
 
     def __init__(
@@ -172,10 +168,16 @@ class TableEncoder:
         self.miss_count = 0
 
     def __call__(self, text: str) -> np.ndarray:
+        return self._lookup(text, self.fallback)
+
+    def encode(self, text: str) -> np.ndarray:
+        return self._lookup(text, self.fallback.encode)
+
+    def _lookup(self, text: str, fallback: Callable[[str], np.ndarray]) -> np.ndarray:
         vec = self._table.get(text)
         if vec is None:
             self.miss_count += 1
-            return self.fallback(text)
+            return fallback(text)
         return vec
 
 

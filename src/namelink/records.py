@@ -89,4 +89,8 @@ class BibRecord:
         return len(self.authors)
 
 
+# the top-level publication elements of dblp.dtd
+DBLP_KINDS = frozenset(
+    "article inproceedings proceedings book incollection phdthesis mastersthesis www person data".split()
+)
 DEFAULT_KINDS = frozenset({"article", "inproceedings"})

@@ -16,17 +16,17 @@ reads them without a copy.  A block has one bank: its train entries' rows,
 then its validation entries' rows, which are scored after every epoch
 ``EVAL_BATCH`` (256) rows at a time, so scoring holds one slice's inputs
 and activations however many validation rows the block has.
-Input one comes from the rows of the bank's float64 name matrix, each
-distinct name encoded and stored once, into one reused buffer; input two
-is unpacked from each entry's float32 text row, which the bank holds as its
-set values only.  Every float32 value is its float64 value rounded once:
-the pair half of input one and each text row are summed and halved in
-float64 and rounded as they are stored.
+Input one comes from the rows of the bank's float64 name matrix, the one
+copy of each distinct name's vector (the bank asks the name encoder's
+uncached ``encode``, not its serving cache), into one reused buffer; input
+two is unpacked from each entry's float32 text row, which the bank holds as
+its set values only.  Every float32 value is its float64 value rounded
+once: the pair half of input one and each text row are summed and halved
+in float64 and rounded as they are stored.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -204,7 +204,8 @@ class PackedRows:
 class SampleBank:
     """Every training input of a list of block entries, held as what its
     rows are built from: row ids into one float64 matrix that holds each
-    distinct name string's encoding once, and each entry's float32 text row
+    distinct name string's encoding once, as the uncached
+    ``encoders.name.encode`` returns it, and each entry's float32 text row
     (summed and halved in float64, then rounded once) as
     :class:`PackedRows`.  :meth:`rows` assembles the float32 model inputs of
     a batch of rows on demand, so a bank costs about 32 bytes per row plus
@@ -266,20 +267,10 @@ class SampleBank:
         titles, sources = [r.title for r in records], [r.source for r in records]
         self.text_dim = encoders.text.dim
         self._text_rows = PackedRows(text_rows(encoders.text, titles, sources), len(records), self.text_dim)
-        # the encoder is asked once per distinct string, after the entries'
-        # rows are built; the matrix is stacked on the first call of rows(),
-        # after the training state: measured, that order peaks lowest in RSS
-        self._name_vectors = [encoders.name(s) for s in string_ids]
-
-    @functools.cached_property
-    def _names(self) -> np.ndarray:
-        """Row i holds the encoding of the name string with row id i."""
-        # row by row: np.stack would make a view object per vector first
-        names = np.empty((len(self._name_vectors), self.name_dim))
-        for row, vector in zip(names, self._name_vectors):
-            row[:] = vector
-        del self._name_vectors
-        return names
+        # row i: the name with row id i, the one copy of its vector
+        self._names = np.empty((len(string_ids), self.name_dim))
+        for row, s in zip(self._names, string_ids):
+            row[:] = encoders.name.encode(s)
 
     @property
     def n_samples(self) -> int:
@@ -303,12 +294,11 @@ class SampleBank:
         many batches reuses.  x1's pair half is summed and halved in float64
         and rounded once as it is copied in, so each row holds the bits of
         the float64 row cast; x2 is the entries' text rows, unpacked."""
-        vectors = self._names
         p, j = self._p_ids[idx], self._j_ids[idx]
         if out is None:
             out = np.empty((len(p), 2 * self.name_dim), np.float32)
         # the float64 first names are freed as name_input returns, before x2 is built
-        x1 = name_input(vectors[self._first_ids[idx]], vectors, p, j, out=out)
+        x1 = name_input(self._names[self._first_ids[idx]], self._names, p, j, out=out)
         return x1, self._text_rows.take(self._row_entry[idx])
 
 

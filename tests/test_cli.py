@@ -10,7 +10,7 @@ import namelink.cli
 import namelink.training
 from namelink.cli import build_parser, main
 from namelink.model import load_checkpoint, save_checkpoint
-from namelink.records import AuthorId, AuthorMention, BibRecord
+from namelink.records import DBLP_KINDS, DEFAULT_KINDS, AuthorId, AuthorMention, BibRecord
 from namelink.store import load_corpus, write_corpus_store
 from namelink.synth import SynthConfig, gen_synth
 
@@ -258,6 +258,31 @@ class TestIngest:
         assert capsys.readouterr().err.startswith("error: --kinds")
         assert out.read_text("utf-8") == "old store"
         assert [e["status"] for e in manifest_entries(manifest)] == ["error"]
+
+    # a misspelt kind, and the fixture's own <masterthesis>, which dblp.dtd spells mastersthesis
+    @pytest.mark.parametrize("kinds", ["artcle", "article,masterthesis"])
+    def test_kinds_dblp_does_not_have_refused(self, tmp_path, capsys, kinds):
+        out, manifest = tmp_path / "c.ndjson", tmp_path / "m"
+        out.write_text("old store", "utf-8")
+        rc = main(["ingest", "--xml", FIXTURE_XML, "--out", str(out), "--kinds", kinds, "--manifest", str(manifest)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        unknown = kinds.split(",")[-1]
+        assert err.startswith(f"error: --kinds {kinds!r} names {unknown},")
+        assert all(kind in err for kind in DBLP_KINDS)
+        assert out.read_text("utf-8") == "old store"
+        (entry,) = manifest_entries(manifest)
+        assert entry["status"] == "error" and unknown in entry["result"]["error"]
+
+    def test_every_dblp_kind_accepted(self, tmp_path, capsys):
+        assert DEFAULT_KINDS <= DBLP_KINDS
+        out, kinds = tmp_path / "c.ndjson", ",".join(sorted(DBLP_KINDS))
+        rc = main(["ingest", "--xml", FIXTURE_XML, "--out", str(out), "--kinds", kinds, "--manifest", str(tmp_path / "m")])
+        assert rc == 0
+        # of the fixture's 57 top-level elements, four lack a title, an
+        # author or a key, and only its <masterthesis> is of no DBLP kind
+        stdout = capsys.readouterr().out
+        assert "records\t52" in stdout and "skipped other kinds\t1" in stdout
 
     def test_author_normalizing_to_nothing_dropped(self, tmp_path, capsys):
         xml = tmp_path / "dash.xml"
@@ -1316,12 +1341,13 @@ class TestManifest:
         trained = next(e for e in manifest_entries(ws["manifest"]) if e["command"] == "train")["result"]
         (with_tables,) = (e["result"] for e in manifest_entries(ws["root"] / "tables.ndjson"))
         for result in (trained, evaluated, predicted, with_tables):
-            assert 0.0 <= result["name_cache_hit_rate"] <= 1.0
             # the text encoder keeps no cache
             assert "text_cache_hit_rate" not in result
-        # training asks the encoder once per distinct name of the block, so
-        # a single-block train, the first use of the encoder, never hits the cache
-        assert trained["name_cache_hit_rate"] == 0.0
+        for result in (evaluated, predicted):
+            assert 0.0 <= result["name_cache_hit_rate"] <= 1.0
+        # a sample bank encodes each name uncached, so training never calls
+        # the cached form, with or without a table in front of it
+        assert trained["name_cache_hit_rate"] is None and with_tables["name_cache_hit_rate"] is None
         assert predicted["route"] == "AMBIGUOUS"
 
     def test_unwritable_manifest_is_operational_error(self, ws, tmp_path, capsys):

@@ -140,8 +140,8 @@ class TestHashMemo:
             warm_text(text)
         for text in texts:
             want_name, want_text = reference_name_vector(text), reference_text_vector(text)
-            # _encode skips the warm encoder's vector cache, so every gram comes from its memo
-            for got in (HashingNameEncoder()(text), warm_name._encode(text)):
+            # encode skips the warm encoder's vector cache, so every gram comes from its memo
+            for got in (HashingNameEncoder()(text), warm_name.encode(text)):
                 assert got.tobytes() == want_name.tobytes()
             for got in (HashingTextEncoder()(text), warm_text(text)):
                 assert got.tobytes() == want_text.tobytes()
@@ -152,7 +152,7 @@ class TestHashMemo:
         monkeypatch.setattr(encoders, "CACHE_SIZE", 8)
         name, text_enc = HashingNameEncoder(), HashingTextEncoder()
         for _ in range(2):
-            assert name._encode(text).tobytes() == want_name.tobytes()
+            assert name.encode(text).tobytes() == want_name.tobytes()
             assert text_enc(text).tobytes() == want_text.tobytes()
         assert len(name._buckets) == len(text_enc._buckets) == 8
 

@@ -107,6 +107,8 @@ class OneHotNames:
             vector[self.index.setdefault(s, len(self.index))] = 1.0
         return vector
 
+    encode = __call__
+
 
 class TestAtomicVariate:
     def test_initial_plus_last(self):

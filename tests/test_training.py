@@ -485,13 +485,35 @@ class TestSampleBankMemory:
         return build_block(corpus, build_author_registry(corpus), "W Fang")
 
     @staticmethod
-    def distinct_names(block):
+    def names_of(block):
+        """Every name string a bank over the block's entries encodes, "" included."""
         names = {""}
         for entry in block.entries:
             forms = [normalize_name(m.display_name) for m in entry.record.authors]
             names |= {f.render() for f in forms} | {f.anv for f in forms}
             names |= {forms[entry.position].first_name, forms[entry.position].anv_first}
-        return len(names)
+        return names
+
+    @staticmethod
+    def distinct_names(block):
+        return len(TestSampleBankMemory.names_of(block))
+
+    @staticmethod
+    def many_names_block(n_records=250):
+        """Two authors whose records each list two co-authors nobody else
+        has, no two of them sharing an abbreviated form either, their names
+        made of a few syllables: over 1,000 distinct names built from a few
+        hundred n-grams, few rows per name and one title for every record."""
+        syllables = ("ka", "lo", "mi", "nu", "pe", "ri", "so", "tu")
+        lasts = [a + b for a in syllables for b in reversed(syllables)]
+        # one first name per initial
+        firsts = [initial + "an" for initial in "bcdfghjklmnprstv"]
+        coauthors = iter(f"{first.title()} {last.title()}" for last in lasts for first in firsts)
+        corpus = [
+            rec(f"r{k:04d}", "Wei Fang" if k % 2 else "Wen Fang", next(coauthors), next(coauthors), title="one title")
+            for k in range(n_records)
+        ]
+        return build_block(corpus, build_author_registry(corpus), "W Fang")
 
     def test_no_array_holds_a_float_row_per_sample(self):
         block = self.make_block()
@@ -514,28 +536,54 @@ class TestSampleBankMemory:
                     return True
             return False
 
-        assert holds_vectors(enc.name)  # the name cache, which the check must see
         assert not holds_vectors(enc.text)
+        enc.name("Wei Fang")
+        assert holds_vectors(enc.name)  # the name cache, which the check must see
+
+    @pytest.mark.parametrize("with_table", [False, True])
+    def test_bank_names_are_the_serving_vectors_encoded_uncached(self, with_table):
+        block = self.make_block()
+        names = self.names_of(block)
+        enc = default_encoders()
+        hashing = enc.name
+        if with_table:
+            rng = np.random.default_rng(24)
+            # a table holding every other name, so the bank both hits and misses it
+            table = {s: rng.normal(size=hashing.dim) for s in sorted(names)[::2]}
+            enc = enc._replace(name=TableEncoder(table, hashing, hashing.dim, "0" * 64))
+        bank = SampleBank(block.entries, block.class_index, enc)
+        if with_table:
+            # each missing name looked up once, and none kept in the fallback's cache
+            assert enc.name.miss_count == len(names) - len(table)
+        assert hashing.calls == 0 and not hashing._cache
+        assert len(bank._names) == len(names)
+        assert {row.tobytes() for row in bank._names} == {enc.name(s).tobytes() for s in names}
 
     def test_traced_peak_is_per_entry_and_per_name(self):
         """A block's bank over its train and validation entries, built as
         training builds it: its text costs the set values of each entry's
         text row, and each name it uses is stored once."""
-        block = self.make_block(n_records=400)
+        self.assert_traced_build_within_bound(self.make_block(n_records=400))
+
+    def test_a_cold_build_holds_one_float64_copy_of_many_names(self):
+        """With more than a thousand distinct names, a second copy of their
+        vectors, such as the name encoder's cache, would not fit the bound."""
+        block = self.many_names_block()
+        assert self.distinct_names(block) >= 1000
+        self.assert_traced_build_within_bound(block)
+
+    def assert_traced_build_within_bound(self, block):
+        """A bank over the block's entries, built as training builds it with
+        fresh encoders and read once, peaks below the set values of its text
+        rows, one float64 vector per distinct name, 64 bytes per row and
+        ``SLACK``."""
         enc = default_encoders()
         train_entries, val_entries = block.entries[0::2], block.entries[1::2]
-
-        def build():
-            bank = SampleBank(train_entries + val_entries, block.class_index, enc)
-            bank._names  # stacked on first use
-            return bank
-
-        # the first build fills the name encoder's cache, which the bank does not own
-        build()
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            bank = build()
+            bank = SampleBank(train_entries + val_entries, block.class_index, enc)
+            bank.rows(np.arange(1))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -577,6 +625,10 @@ class TestSampleBankMemory:
             def __call__(self, text):
                 asked[text] += 1
                 return hashing(text)
+
+            def encode(self, text):
+                asked[text] += 1
+                return hashing.encode(text)
 
         block = separable_block()
         enc = default_encoders()._replace(name=CountingEncoder())
