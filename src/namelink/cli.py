@@ -489,7 +489,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = sub("ingest", "parse a DBLP-format XML dump into a corpus store")
     p.add_argument("--xml", default=None, help="input XML path")
     p.add_argument("--out", default=None, help="output corpus store path")
-    p.add_argument("--kinds", default=None, help="comma-separated record kinds (default article,inproceedings)")
+    default_kinds = ",".join(sorted(DEFAULT_KINDS))
+    p.add_argument("--kinds", default=None, help=f"comma-separated record kinds (default {default_kinds})")
 
     p = sub("stats", "corpus-level or per-block statistics")
     p.add_argument("--corpus", default=None)

@@ -12,11 +12,12 @@ and processes.  Real pretrained vectors can be injected through
 :class:`TableEncoder`, a key->vector table with built-in fallback on misses.
 
 The classifier's two inputs are built from these encoders by
-:func:`name_input` and :func:`text_rows`, the one feature recipe that
-training and prediction share: input one is the target's first-name vector
-concatenated with the mean of two co-author name vectors (400 dims); input
-two is the mean of the title and source vectors (768 dims), one row per
-record.
+:func:`name_input` and :func:`text_rows`, the one feature recipe: input one
+is the target's first-name vector concatenated with the mean of two
+co-author name vectors (400 dims); input two is the mean of the title and
+source vectors (768 dims), one row per record.  Training calls both;
+prediction calls :func:`text_rows`, and ``predict.forward_batched`` factors
+input one into its first layer, checked in tests against :func:`name_input`.
 """
 
 from __future__ import annotations
@@ -185,7 +186,7 @@ def load_embedding_table(
     path: str | Path, expected_dim: int, fallback: Callable[[str], np.ndarray]
 ) -> TableEncoder:
     """Load a "key<TAB>v1 v2 ... vd" UTF-8 table; every line must carry
-    exactly ``expected_dim`` values and keys must be unique.
+    exactly ``expected_dim`` values and keys must be non-empty and unique.
 
     The file is read once, in binary: the encoder's ``sha256`` is the digest
     of the very bytes parsed.  Lines end at LF, CRLF or CR as in text mode,
@@ -209,6 +210,8 @@ def load_embedding_table(
                 key, sep, values = line.partition("\t")
                 if not sep:
                     raise EmbeddingTableError(f"{path}:{line_no}: missing tab separator")
+                if not key:
+                    raise EmbeddingTableError(f"{path}:{line_no}: empty key")
                 if key in table:
                     raise EmbeddingTableError(f"{path}:{line_no}: duplicate key {key!r}")
                 parts = values.split()

@@ -75,27 +75,23 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "branch1_hidden", tuple(self.branch1_hidden))
-        object.__setattr__(self, "branch2_hidden", tuple(self.branch2_hidden))
-        object.__setattr__(self, "merged_hidden", tuple(self.merged_hidden))
         if self.n_classes < 1:
             raise ValueError("n_classes must be >= 1")
         if self.input1_dim < 1 or self.input2_dim < 1:
             raise ValueError("input dims must be >= 1")
-        for width in (*self.branch1_hidden, *self.branch2_hidden, *self.merged_hidden):
-            if width < 1:
-                raise ValueError(f"layer width {width} must be >= 1")
+        for name in ("branch1_hidden", "branch2_hidden", "merged_hidden"):
+            widths = tuple(getattr(self, name))
+            object.__setattr__(self, name, widths)
+            if not widths or min(widths) < 1:
+                raise ValueError(f"{name} {widths} must hold at least one layer, each of width >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
 
     @property
     def branch_widths(self) -> tuple[int, int]:
         """The output width of branch one and of branch two, the two halves
-        of the merge input: a branch's last layer width, or its input's."""
-        return (
-            self.branch1_hidden[-1] if self.branch1_hidden else self.input1_dim,
-            self.branch2_hidden[-1] if self.branch2_hidden else self.input2_dim,
-        )
+        of the merge input."""
+        return self.branch1_hidden[-1], self.branch2_hidden[-1]
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(n_in, n_out) per layer: branch one, branch two, merged, output."""
@@ -184,14 +180,11 @@ def relu_layer(x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | No
 
 def run_stack(x: np.ndarray, ws, bs, out: np.ndarray | None = None) -> list[np.ndarray]:
     """Run ``x`` through a stack of ReLU layers: the activations, input
-    first.  With ``out``, the stack's result is written into it: the last
-    layer's activation, which is then ``out`` itself, or a copy of ``x``
-    when the stack has no layers."""
+    first.  With ``out``, the last layer's activation is written into it,
+    and is then ``out`` itself."""
     acts = [x]
     for i, (w, b) in enumerate(zip(ws, bs)):
         acts.append(relu_layer(acts[-1], w, b, out if i == len(ws) - 1 else None))
-    if out is not None and not ws:
-        out[...] = x
     return acts
 
 
@@ -357,7 +350,7 @@ class AdamState:
     v: np.ndarray
 
 
-def init_adam_state(params: ModelParams, lr: float = 1e-3) -> AdamState:
+def init_adam_state(params: ModelParams, lr: float) -> AdamState:
     n, dtype = params.n_params, params.flat.dtype
     return AdamState(t=0, lr=lr, m=np.zeros(n, dtype), v=np.zeros(n, dtype))
 

@@ -157,15 +157,14 @@ def forward_batched(
 
     Up to float rounding this is ``forward_batch`` on the rows
     ``name_input(first_vec, pool_vecs, p, j)`` with ``text_row`` repeated,
-    but nothing is computed per pair that does not depend on the pair.  The
-    layer input one feeds (branch one's first layer, or with no branch-one
-    layers the layer that takes the concatenation) is linear in that input,
-    so its pre-activation for a pair is ``c + P[p] + P[j]``, where ``c``
-    holds the first-name term and bias and ``P = 0.5 * pool_vecs @ W_pair``
-    has one row per pool name.  Branch two and its term in the layer that
-    takes the concatenation are computed once from the single ``text_row``.
-    The layers after these run ``PAIR_CHUNK`` pairs at a time.  Inputs are
-    cast to the parameters' dtype, and the probabilities come back in it.
+    but nothing is computed per pair that does not depend on the pair.
+    Branch one's first layer is linear in input one, so its pre-activation
+    for a pair is ``c + P[p] + P[j]``, where ``c`` holds the first-name term
+    and bias and ``P = 0.5 * pool_vecs @ W_pair`` has one row per pool name.
+    Branch two and its term in the first merged layer, which takes the
+    concatenation, are computed once from the single ``text_row``.  The
+    layers after these run ``PAIR_CHUNK`` pairs at a time.  Inputs are cast
+    to the parameters' dtype, and the probabilities come back in it.
     """
     cfg = params.config
     dtype = params.flat.dtype
@@ -185,15 +184,11 @@ def forward_batched(
             f"do not match config dims {cfg.input1_dim}/{cfg.input2_dim}"
         )
     (w1s, b1s), (w2s, b2s), (wms, bms), (w_out, b_out) = split_layers(cfg, params.weights, params.biases)
-    # the layer that takes the concatenation: the first merged layer, or the output layer
-    w_cat, b_cat = (wms[0], bms[0]) if wms else (w_out, b_out)
     split = cfg.branch_widths[0]
-    w_cat1 = w_cat[:split]
     text_out = run_stack(text_row, w2s, b2s)[-1]
-    cat_bias = text_out @ w_cat[split:] + b_cat
-    w_in, b_in = (w1s[0], b1s[0]) if w1s else (w_cat1, cat_bias)
-    c = first_vec @ w_in[:dim] + b_in
-    halves = 0.5 * (pool_vecs @ w_in[dim:])
+    cat_bias = text_out @ wms[0][split:] + bms[0]
+    c = first_vec @ w1s[0][:dim] + b1s[0]
+    halves = 0.5 * (pool_vecs @ w1s[0][dim:])
 
     p_idx, j_idx = pair_indices(len(pool_vecs))
     probs = np.empty((p_idx.size, cfg.n_classes), dtype)
@@ -202,14 +197,12 @@ def forward_batched(
         z = halves[p_idx[start:stop]]
         z += halves[j_idx[start:stop]]
         z += c
-        if w1s:
-            np.maximum(z, 0.0, out=z)
-            z = run_stack(z, w1s[1:], b1s[1:])[-1] @ w_cat1
-            z += cat_bias
-        # z is now the pre-activation of the layer that takes the concatenation
-        if wms:
-            np.maximum(z, 0.0, out=z)
-            z = run_stack(z, wms[1:], bms[1:])[-1] @ w_out + b_out
+        np.maximum(z, 0.0, out=z)
+        z = run_stack(z, w1s[1:], b1s[1:])[-1] @ wms[0][:split]
+        z += cat_bias
+        # z is now the pre-activation of the first merged layer
+        np.maximum(z, 0.0, out=z)
+        z = run_stack(z, wms[1:], bms[1:])[-1] @ w_out + b_out
         probs[start:stop] = softmax(z)
     return probs
 

@@ -424,8 +424,9 @@ def train_block_model(
 
     All randomness (weight init, j draws, batch shuffles, dropout) derives
     from ``config.seed`` through split substreams, so a rerun with the same
-    inputs reproduces the trajectory exactly; a caller-supplied
-    ``model_config`` contributes its topology but not its seed.  Blocks
+    inputs reproduces the trajectory exactly.  A supplied ``model_config``
+    gives only its layer widths and dropout rate; the block, the encoders
+    and ``config.seed`` set the rest.  Blocks
     without validation records fall back to scoring the training bank for
     the stopping signal, flagged in the result.
     """
@@ -458,20 +459,13 @@ def train_block_model(
         bank.assign_coauthors(np.random.default_rng(val_seq), val_rows)
 
     init_seed = int(init_seq.generate_state(1, dtype=np.uint32)[0])
-    if model_config is None:
-        model_config = ModelConfig(
-            n_classes=block.n_classes,
-            input1_dim=2 * bank.name_dim,
-            input2_dim=bank.text_dim,
-            seed=init_seed,
-        )
-    else:
-        model_config = replace(model_config, n_classes=block.n_classes, seed=init_seed)
-    if model_config.input1_dim != 2 * bank.name_dim or model_config.input2_dim != bank.text_dim:
-        raise TrainingError(
-            f"model dims {model_config.input1_dim}/{model_config.input2_dim} do not match "
-            f"encoder dims {2 * bank.name_dim}/{bank.text_dim}"
-        )
+    model_config = replace(
+        model_config or ModelConfig(n_classes=block.n_classes),
+        n_classes=block.n_classes,
+        input1_dim=2 * bank.name_dim,
+        input2_dim=bank.text_dim,
+        seed=init_seed,
+    )
 
     # models train in float32; the initial weights are still drawn in float64
     params = ModelParams(model_config, init_model(model_config).flat.astype(np.float32))

@@ -222,6 +222,14 @@ class TestStats:
 
 
 class TestIngest:
+    def test_kinds_help_reads_the_default_kinds(self, monkeypatch):
+        """The help names ``records.DEFAULT_KINDS``, so it follows that list."""
+        for kinds in (DEFAULT_KINDS, frozenset({"phdthesis", "article"})):
+            monkeypatch.setattr(namelink.cli, "DEFAULT_KINDS", kinds)
+            _, subs = build_parser()
+            (action,) = [a for a in subs["ingest"]._actions if "--kinds" in a.option_strings]
+            assert action.help.endswith(f"(default {','.join(sorted(kinds))})")
+
     def test_fixture_round_trip(self, tmp_path, capsys):
         out = tmp_path / "corpus.ndjson"
         rc = main(
@@ -590,6 +598,27 @@ class TestTrain:
             ]
         )
         assert_operational_error(rc, capsys, manifest)
+        assert not (tmp_path / "t.npz").exists()
+
+    def test_name_table_with_an_empty_key_refused(self, ws, tmp_path, capsys):
+        table = tmp_path / "names.tsv"
+        table.write_text("\t" + " ".join(["0.1"] * 200) + "\n", "utf-8")
+        manifest = tmp_path / "m"
+        rc = main(
+            [
+                "train",
+                "--corpus", ws["corpus"],
+                "--block", "Y Chen",
+                "--out", str(tmp_path / "t.npz"),
+                "--max-epochs", "1",
+                "--name-table", str(table),
+                "--manifest", str(manifest),
+            ]
+        )
+        assert rc == 1
+        assert f"{table}:1: empty key" in capsys.readouterr().err
+        (entry,) = manifest_entries(manifest)
+        assert entry["status"] == "error"
         assert not (tmp_path / "t.npz").exists()
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])

@@ -198,6 +198,8 @@ class TestTableEncoder:
             ("foo\t1 2 3\n", "expected 2 values"),
             ("foo\t1 x\n", "bad value"),
             ("foo\t1 nan\n", "non-finite"),
+            # the key "" would give the empty co-author slot a vector other than zeros
+            ("foo\t1 2\n\t3 4\n", ":2: empty key"),
         ],
     )
     def test_load_errors_name_the_line(self, tmp_path, content, fragment):

@@ -68,12 +68,6 @@ class TestConfig:
         assert cfg.n_params == expected
         assert init_model(cfg).flat.size == expected
 
-    def test_param_count_no_merged_layers(self):
-        cfg = ModelConfig(
-            n_classes=2, input1_dim=3, input2_dim=4, branch1_hidden=(2,), branch2_hidden=(2,), merged_hidden=()
-        )
-        assert cfg.n_params == (3 * 2 + 2) + (4 * 2 + 2) + (4 * 2 + 2)
-
     def test_round_trip_dict(self):
         """The checkpoint codec: ``asdict`` through JSON and back through
         the constructor, which turns the stored lists into tuples."""
@@ -88,6 +82,10 @@ class TestConfig:
             {"n_classes": 2, "branch1_hidden": (0,)},
             {"n_classes": 2, "dropout_rate": 1.0},
             {"n_classes": 2, "dropout_rate": -0.1},
+            # every stack holds at least one layer
+            {"n_classes": 2, "branch1_hidden": ()},
+            {"n_classes": 2, "branch2_hidden": ()},
+            {"n_classes": 2, "merged_hidden": ()},
         ],
     )
     def test_validation(self, kwargs):
@@ -291,16 +289,6 @@ class TestLossAndGradients:
             )
         )
 
-    @pytest.mark.parametrize(
-        "empty", [{"branch1_hidden": ()}, {"branch2_hidden": ()}, {"merged_hidden": ()}],
-        ids=["no-branch1", "no-branch2", "no-merged"],
-    )
-    def test_finite_difference_gradient_with_an_empty_stack(self, empty):
-        """Every coordinate, where a branch with no layers copies its input
-        into its half of the merge input, or the output layer reads it."""
-        layers = {"branch1_hidden": (5,), "branch2_hidden": (4,), "merged_hidden": (4,), **empty}
-        self.check_every_coordinate(ModelConfig(n_classes=3, input1_dim=4, input2_dim=3, dropout_rate=0.0, **layers))
-
     def test_float32_matches_float64_on_same_parameters(self):
         """The float32 loss and gradient track float64 on parameters and
         inputs that both dtypes hold exactly, with the same dropout masks."""
@@ -384,7 +372,7 @@ class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_model(TINY)
         before = params.flat.copy()
-        state = init_adam_state(params)
+        state = init_adam_state(params, lr=1e-3)
         # the update is in place, so nothing is returned
         assert adam_step(params, np.zeros(params.n_params), state) is None
         np.testing.assert_array_equal(params.flat, before)
@@ -404,7 +392,7 @@ class TestAdam:
         """Drive one coordinate with a quadratic loss f = theta^2 / 2 and
         replay the textbook update rule in pure Python."""
         cfg = ModelConfig(
-            n_classes=1, input1_dim=1, input2_dim=1, branch1_hidden=(), branch2_hidden=(), merged_hidden=()
+            n_classes=1, input1_dim=1, input2_dim=1, branch1_hidden=(1,), branch2_hidden=(1,), merged_hidden=(1,)
         )
         params = init_model(dataclasses.replace(cfg, seed=17))
         state = init_adam_state(params, lr=0.1)
@@ -429,7 +417,7 @@ class TestAdam:
     def test_updates_happen_in_place(self):
         params = init_model(TINY)
         buf = params.flat
-        state = init_adam_state(params)
+        state = init_adam_state(params, lr=1e-3)
         adam_step(params, np.ones(params.n_params), state)
         assert params.flat is buf
 
@@ -471,7 +459,7 @@ class TestAdam:
     @pytest.mark.parametrize("alias", ["params", "m", "v"])
     def test_gradient_sharing_memory_with_state_rejected(self, alias):
         params = init_model(TINY)
-        state = init_adam_state(params)
+        state = init_adam_state(params, lr=1e-3)
         adam_step(params, np.ones(params.n_params), state)
         before = params.flat.copy(), state.m.copy(), state.v.copy()
         grad = {"params": params.flat, "m": state.m, "v": state.v}[alias]
@@ -486,7 +474,7 @@ class TestAdam:
         """Rejected before anything is mutated: params, moments and t keep
         their values."""
         params = init_model(TINY)
-        state = init_adam_state(params)
+        state = init_adam_state(params, lr=1e-3)
         rng = np.random.default_rng(24)
         for _ in range(2):
             adam_step(params, rng.normal(size=params.n_params), state)
@@ -503,7 +491,7 @@ class TestAdam:
 
     def test_moments_of_another_dtype_rejected(self):
         params = init_model(TINY)
-        state = init_adam_state(ModelParams(TINY, params.flat.astype(np.float32)))
+        state = init_adam_state(ModelParams(TINY, params.flat.astype(np.float32)), lr=1e-3)
         before = params.flat.copy()
         with pytest.raises(ValueError, match="moments"):
             adam_step(params, np.ones(params.n_params), state)
@@ -675,6 +663,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="dropout_branches"):
             load_checkpoint(path)
 
+    def test_empty_stack_refused(self, tmp_path):
+        """A stored config with a stack of no layers is refused like any
+        config the constructor refuses."""
+        path, _ = self.saved_with_config(tmp_path, merged_hidden=[])
+        with pytest.raises(CheckpointError, match=r"bad model config.*merged_hidden \(\) must hold at least one layer"):
+            load_checkpoint(path)
+
     def test_unknown_config_key_rejected(self, tmp_path):
         path, _ = self.saved_with_config(tmp_path, no_such_field=1)
         with pytest.raises(CheckpointError, match="no_such_field"):
@@ -747,9 +742,9 @@ TOPOLOGY = st.fixed_dictionaries(
         "n_classes": st.integers(1, 5),
         "input1_dim": st.integers(1, 6),
         "input2_dim": st.integers(1, 6),
-        "branch1_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
-        "branch2_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
-        "merged_hidden": st.lists(st.integers(1, 5), max_size=2).map(tuple),
+        "branch1_hidden": st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+        "branch2_hidden": st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+        "merged_hidden": st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
         "seed": st.integers(0, 2**16),
     }
 )

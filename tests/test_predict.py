@@ -330,10 +330,6 @@ class TestPredictAuthor:
 TOPOLOGIES = {
     "default": {},
     "two-layer": {"branch1_hidden": (24, 16), "branch2_hidden": (20, 12), "merged_hidden": (18, 10)},
-    "no-branch1": {"branch1_hidden": ()},
-    "no-branch2": {"branch2_hidden": ()},
-    "no-merged": {"merged_hidden": ()},
-    "no-hidden": {"branch1_hidden": (), "branch2_hidden": (), "merged_hidden": ()},
 }
 
 

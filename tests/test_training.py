@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import namelink.training
 from namelink.blocking import BlockEntry, build_block
-from namelink.encoders import HashingTextEncoder, TableEncoder, default_encoders, name_input
+from namelink.encoders import NAME_DIM, TEXT_DIM, HashingTextEncoder, TableEncoder, default_encoders, name_input
 from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
 from namelink.names import build_author_registry, normalize_name
 from namelink.records import AuthorId, AuthorMention, BibRecord
@@ -895,12 +895,18 @@ class TestTrainBlockModel:
         with pytest.raises(TrainingError, match="Pang Xu"):
             train_block_model(block, starved, default_encoders(), FAST, SMALL_MODEL)
 
-    def test_dim_mismatch_rejected(self):
+    def test_input_dims_come_from_the_encoders(self):
+        """A supplied config's input sizes give way to the encoders': it
+        trains the model its layer widths give at those sizes."""
         block = separable_block(2)
         split = split_per_author(block, 1)
-        bad = ModelConfig(n_classes=2, input1_dim=10, branch1_hidden=(4,), branch2_hidden=(4,), merged_hidden=(4,))
-        with pytest.raises(TrainingError, match="dims"):
-            train_block_model(block, split, default_encoders(), FAST, bad)
+        run = TrainRunConfig(max_epochs=1, seed=0)
+        other = dataclasses.replace(SMALL_MODEL, input1_dim=10, input2_dim=3)
+        got = train_block_model(block, split, default_encoders(), run, other).best_params
+        want = train_block_model(block, split, default_encoders(), run, SMALL_MODEL).best_params
+        assert (got.config.input1_dim, got.config.input2_dim) == (2 * NAME_DIM, TEXT_DIM)
+        assert got.config == want.config
+        assert got.flat.tobytes() == want.flat.tobytes()
 
     def test_class_counts_reported(self):
         block = separable_block(3)
