@@ -639,11 +639,43 @@ def _write_manifest(args: argparse.Namespace, status: str, payload: dict, durati
         fh.write(json.dumps(entry, ensure_ascii=False, default=str) + "\n")
 
 
+class _DevnullOnceClosed:
+    """Stands in for stdout while a command runs.  Once the reader has closed
+    the pipe (``namelink split | head -1``), the rest of the output goes to
+    devnull, so the command finishes, is logged with its result, and the
+    interpreter's last flush at exit has nothing to fail on."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def _to_devnull(self) -> None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, self._stream.fileno())
+        os.close(devnull)
+
+    def write(self, text: str) -> int:
+        try:
+            return self._stream.write(text)
+        except BrokenPipeError:
+            self._to_devnull()
+            return len(text)
+
+    def flush(self) -> None:
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            self._to_devnull()
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subs = build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
+    stdout, sys.stdout = sys.stdout, _DevnullOnceClosed(sys.stdout)
     try:
         # a config-file error is logged like any other: with the flags as set so far
         _apply_config_file(args, subs[args.command], argv[argv.index(args.command) + 1 :])
@@ -653,6 +685,7 @@ def main(argv=None) -> int:
                 "missing required argument(s): " + ", ".join(f"--{m.replace('_', '-')}" for m in missing)
             )
         payload = _COMMANDS[args.command](args)
+        sys.stdout.flush()
         _write_manifest(args, "ok", payload, time.perf_counter() - started)
     except _OPERATIONAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -661,6 +694,8 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return 1
+    finally:
+        sys.stdout = stdout
     return 0
 
 

@@ -26,8 +26,8 @@ nothing, and an inference pass keeps only the running activation after the
 merge.  Backprop writes each layer's weight and bias gradient straight into
 its view of one flat gradient vector and skips the gradient with respect to
 the network's inputs, which nothing reads.  The Adam update then runs in
-place on the parameters and moments, one cache-sized slice at a time, using
-that gradient vector as scratch plus one slice-sized buffer.
+place on the parameters and moments, one cache-sized slice at a time, with
+that gradient vector as its only scratch.
 
 ``forward_batch`` is the forward pass of training and of plain batches.  Its
 layer helpers (``split_layers``, ``run_stack``, ``softmax``) are shared with
@@ -39,6 +39,7 @@ that first one are the same code in both passes.
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -53,10 +54,10 @@ from .store import atomic_path
 LOG_FLOOR = 1e-12
 # the precisions a model's parameter vector may have
 FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
-# Adam updates this many parameters at a time, so the five vectors it touches
-# stay in a core's L2 cache between its ufunc passes (5 x 256 KiB in float64,
-# half that in float32)
-ADAM_CHUNK = 32768
+# Adam updates this many parameters at a time, so the slices of the four
+# vectors it touches (parameters, gradient, both moments) stay in a core's L2
+# cache between its ufunc passes: 4 x 256 KiB in float32, twice that in float64
+ADAM_CHUNK = 65536
 # Adam's moment decay rates and the term that keeps its denominator off zero
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -342,7 +343,12 @@ def loss_and_gradients_batch(
 @dataclass
 class AdamState:
     """First/second moment accumulators plus the step counter; the betas and
-    eps are the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+    eps are the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
+
+    The moments are held without their (1-b1) and (1-b2) factors: ``m`` is
+    the textbook first moment divided by (1-b1), ``v`` the second divided by
+    (1-b2).  ``adam_step`` folds those factors and the bias corrections into
+    one step size and eps."""
 
     t: int
     lr: float
@@ -358,16 +364,21 @@ def init_adam_state(params: ModelParams, lr: float) -> AdamState:
 def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, in place on ``params.flat``.
 
-    ``grad_flat`` is overwritten: it serves as scratch and on return holds
+    ``grad_flat`` is overwritten: it is the only scratch and on return holds
     the step subtracted from the parameters, so it must have the parameters'
     shape and dtype and must not share memory with ``params.flat``,
     ``state.m`` or ``state.v``; ``state.m`` and ``state.v`` must have that
-    dtype too (``ValueError``).  The update runs over ``ADAM_CHUNK``
-    parameters at a time and allocates one scratch buffer of that size;
-    every value comes from the same float operations in the same order as
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + g*g*(1-b2)`` and ``theta -=
-    m/(1-b1**t) / (sqrt(v/(1-b2**t)) + eps) * lr`` evaluated over whole
-    vectors with temporaries, so the results are bit-identical to that form.
+    dtype too (``ValueError``).
+
+    The update is Kingma & Ba's (arXiv:1412.6980, section 2) with the bias
+    corrections folded into the step size and eps, over moments kept
+    without their (1-b) factors: ``m = b1*m + g``, ``v = b2*v + g*g`` and
+    ``theta -= a_t * m / (sqrt(v) + eps_t)``, where ``k_t = sqrt((1-b2) /
+    (1-b2**t))``, ``a_t = lr * (1-b1) / (1-b1**t) / k_t`` and ``eps_t =
+    eps / k_t``.  It runs as ten in-place passes over ``ADAM_CHUNK``
+    parameters at a time and allocates nothing beyond the finiteness check;
+    every operation is element by element, so the results do not depend on
+    the chunk size and are bit-identical to that form over whole vectors.
 
     Fails fast on non-finite gradients rather than poisoning the moments:
     nothing is mutated then.
@@ -384,25 +395,23 @@ def adam_step(params: ModelParams, grad_flat: np.ndarray, state: AdamState) -> N
         raise FloatingPointError("non-finite gradient")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    c1, c2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    scratch = np.empty(min(ADAM_CHUNK, grad_flat.size), dtype)
+    # Python floats, so a float32 update stays in float32
+    k = math.sqrt((1.0 - b2) / (1.0 - b2**state.t))
+    step_size = state.lr * (1.0 - b1) / (1.0 - b1**state.t) / k
+    eps = ADAM_EPS / k
     for lo in range(0, grad_flat.size, ADAM_CHUNK):
-        hi = min(lo + ADAM_CHUNK, grad_flat.size)
-        g, m, v, buf = grad_flat[lo:hi], state.m[lo:hi], state.v[lo:hi], scratch[: hi - lo]
-        np.multiply(g, g, out=buf)
-        g *= 1.0 - b1
+        chunk = slice(lo, lo + ADAM_CHUNK)
+        g, m, v = grad_flat[chunk], state.m[chunk], state.v[chunk]
         m *= b1
         m += g
+        g *= g
         v *= b2
-        buf *= 1.0 - b2
-        v += buf
-        np.divide(v, c2, out=buf)
-        np.sqrt(buf, out=buf)
-        buf += ADAM_EPS
-        np.divide(m, c1, out=g)
-        g /= buf
-        g *= state.lr
-        params.flat[lo:hi] -= g
+        v += g
+        np.sqrt(v, out=g)
+        g += eps
+        np.divide(m, g, out=g)
+        g *= step_size
+        params.flat[chunk] -= g
 
 
 def class_weights(counts: Sequence[int]) -> np.ndarray:

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from namelink.synth import SynthConfig, gen_synth
 
 FIXTURE_XML = str(Path(__file__).parent / "data" / "dblp_fixture.xml")
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def resave(src, dst, class_index=None):
@@ -1385,6 +1389,36 @@ class TestManifest:
         assert rc == 1
         assert "# of records\t18" in captured.out
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("command", [["split", "--block", "Y Chen"], ["stats"]])
+    def test_closed_stdout_does_not_fail_a_finished_command(self, ws, tmp_path, capsys, command):
+        """The console script with its stdout a pipe whose read end is closed
+        before it writes, as ``namelink split | head -1`` leaves it once head
+        has its line: exit 0, nothing on stderr but the command's own notes,
+        and the run logged ok with the result an open stdout gives."""
+        closed, piped = tmp_path / "closed.ndjson", tmp_path / "open.ndjson"
+        argv = [*command, "--corpus", ws["corpus"]]
+        assert main([*argv, "--manifest", str(piped)]) == 0
+        capsys.readouterr()
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "namelink.cli", *argv, "--manifest", str(closed)],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])},
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.returncode == 0, child.stderr
+        for noise in ("error", "Broken pipe", "Traceback", "Exception ignored"):
+            assert noise not in child.stderr
+        (entry,) = manifest_entries(closed)
+        (reference,) = manifest_entries(piped)
+        assert entry["status"] == "ok" and entry["result"] == reference["result"]
 
 
 def test_readme_cli_notes_name_exactly_the_parser_flags():

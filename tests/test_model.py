@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +369,30 @@ class TestDropout:
         assert np.all(np.abs(mean - ref) <= 4.0 * sigma + 1e-12)
 
 
+# more parameters than one Adam chunk, ending in a partial chunk
+ADAM_CONFIG = ModelConfig(
+    n_classes=7, input1_dim=300, input2_dim=250, branch1_hidden=(100,), branch2_hidden=(90,),
+    merged_hidden=(80, 40),
+)
+
+
+def many_magnitudes(rng, n):
+    """Normal gradients scaled by 10**u, u uniform in [-9, 3]."""
+    return rng.normal(size=n) * 10.0 ** rng.uniform(-9, 3, size=n)
+
+
+def whole_vector_adam(theta, m, v, grad, t, lr):
+    """``adam_step``'s arithmetic over whole vectors with temporaries: the
+    moments without their (1-b) factors, the bias corrections folded into
+    the step size and eps.  Returns the new (theta, m, v)."""
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    k = math.sqrt((1.0 - b2) / (1.0 - b2**t))
+    m = b1 * m + grad
+    v = b2 * v + grad * grad
+    theta = theta - m / (np.sqrt(v) + ADAM_EPS / k) * (lr * (1.0 - b1) / (1.0 - b1**t) / k)
+    return theta, m, v
+
+
 class TestAdam:
     def test_zero_gradient_is_noop(self):
         params = init_model(TINY)
@@ -425,32 +450,15 @@ class TestAdam:
         """The in-place, chunked update against the same arithmetic written
         over whole vectors with temporaries, on gradients spanning many
         magnitudes and a parameter count that ends in a partial chunk."""
-        cfg = ModelConfig(
-            n_classes=7, input1_dim=150, input2_dim=120, branch1_hidden=(100,), branch2_hidden=(90,),
-            merged_hidden=(80, 40),
-        )
-        assert cfg.n_params > ADAM_CHUNK and cfg.n_params % ADAM_CHUNK
-        params = init_model(cfg)
+        assert ADAM_CONFIG.n_params > ADAM_CHUNK and ADAM_CONFIG.n_params % ADAM_CHUNK
+        params = init_model(ADAM_CONFIG)
         state = init_adam_state(params, lr=3e-3)
-        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
-        theta, m, v = params.flat.copy(), np.zeros(cfg.n_params), np.zeros(cfg.n_params)
+        theta, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
         rng = np.random.default_rng(23)
         for t in range(1, 8):
-            grad = rng.normal(size=cfg.n_params) * 10.0 ** rng.uniform(-9, 3, size=cfg.n_params)
+            grad = many_magnitudes(rng, ADAM_CONFIG.n_params)
             adam_step(params, grad.copy(), state)
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            buf = grad * grad
-            buf *= 1.0 - b2
-            v += buf
-            np.divide(v, 1.0 - b2**t, out=buf)
-            np.sqrt(buf, out=buf)
-            buf += eps
-            step = m / (1.0 - b1**t)
-            step /= buf
-            step *= lr
-            theta -= step
+            theta, m, v = whole_vector_adam(theta, m, v, grad, t, state.lr)
             assert state.t == t
             np.testing.assert_array_equal(params.flat, theta)
             np.testing.assert_array_equal(state.m, m)
@@ -501,25 +509,55 @@ class TestAdam:
     def test_float32_update_stays_float32_and_matches_whole_vector_form(self):
         """The float32 update against the same arithmetic over whole float32
         vectors: no operation widens to float64, so the bits agree."""
-        cfg = ModelConfig(
-            n_classes=7, input1_dim=150, input2_dim=120, branch1_hidden=(100,), branch2_hidden=(90,),
-            merged_hidden=(80, 40),
-        )
-        params = ModelParams(cfg, init_model(cfg).flat.astype(np.float32))
+        params = ModelParams(ADAM_CONFIG, init_model(ADAM_CONFIG).flat.astype(np.float32))
         state = init_adam_state(params, lr=3e-3)
-        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.lr
         theta, m, v = params.flat.copy(), state.m.copy(), state.v.copy()
         rng = np.random.default_rng(24)
         for t in range(1, 8):
-            grad = (rng.normal(size=cfg.n_params) * 10.0 ** rng.uniform(-9, 3, size=cfg.n_params)).astype(np.float32)
+            grad = many_magnitudes(rng, ADAM_CONFIG.n_params).astype(np.float32)
             adam_step(params, grad.copy(), state)
-            m = b1 * m + (1.0 - b1) * grad
-            v = b2 * v + grad * grad * (1.0 - b2)
-            theta = theta - m / (1.0 - b1**t) / (np.sqrt(v / (1.0 - b2**t)) + eps) * lr
+            theta, m, v = whole_vector_adam(theta, m, v, grad, t, state.lr)
             assert theta.dtype == np.float32
             for ours, ref in ((params.flat, theta), (state.m, m), (state.v, v)):
                 assert ours.dtype == np.float32
                 np.testing.assert_array_equal(ours, ref)
+
+    def test_float32_step_matches_float64_textbook_step(self):
+        """Each float32 step against the textbook update in float64 from the
+        same state, on parameters of magnitude 0.5 to 1.  The float32 result
+        may differ by one float32 ulp of the new parameter: half an ulp for
+        the rounding of ``theta - step``, while the float32 roundings that
+        compute the step cost a few ulps of a step of the order of lr,
+        far less than the other half of an ulp of theta."""
+        rng = np.random.default_rng(25)
+        n = ADAM_CONFIG.n_params
+        params = ModelParams(ADAM_CONFIG, (rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)).astype(np.float32))
+        state = init_adam_state(params, lr=3e-3)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        for t in range(1, 8):
+            grad = many_magnitudes(rng, n).astype(np.float32)
+            theta = params.flat.astype(np.float64)
+            # the textbook moments, which carry the (1-b) factors state.m and state.v leave out
+            m = b1 * (1.0 - b1) * state.m.astype(np.float64) + (1.0 - b1) * grad.astype(np.float64)
+            v = b2 * (1.0 - b2) * state.v.astype(np.float64) + (1.0 - b2) * grad.astype(np.float64) ** 2
+            theta -= state.lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + ADAM_EPS)
+            adam_step(params, grad, state)
+            assert np.all(np.abs(params.flat - theta) <= np.spacing(np.abs(theta).astype(np.float32)))
+
+    def test_allocates_only_the_finiteness_mask(self):
+        """A step's traced peak is the one-byte-per-parameter mask of the
+        finiteness check plus a little: the gradient is the only scratch."""
+        params = ModelParams(ADAM_CONFIG, init_model(ADAM_CONFIG).flat.astype(np.float32))
+        state = init_adam_state(params, lr=1e-3)
+        grad = np.ones(ADAM_CONFIG.n_params, np.float32)
+        adam_step(params, grad.copy(), state)
+        tracemalloc.start()
+        try:
+            adam_step(params, grad, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ADAM_CONFIG.n_params + 4096
 
     def test_descends_fixed_quadratic(self):
         params = init_model(TINY)
