@@ -231,6 +231,7 @@ def _train_block(
         "classes": block.n_classes,
         "entries": len(block.entries),
         "train_samples": train_samples,
+        "input_columns": result.input_columns,
         **{k: extra[k] for k in ("best_epoch", "best_val_accuracy", "epochs_run")},
         "epochs_after_best": extra["epochs_run"] - extra["best_epoch"],
         "stop_reason": "patience" if result.stopped_early else "max_epochs",

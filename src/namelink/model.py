@@ -41,7 +41,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -153,6 +153,55 @@ def init_model(config: ModelConfig) -> ModelParams:
     for w in params.weights:
         n_in = w.shape[0]
         w[...] = rng.normal(0.0, np.sqrt(2.0 / n_in), size=w.shape)
+    return params
+
+
+def _input_layers(config: ModelConfig) -> tuple[int, int]:
+    """The indices of branch one's and branch two's first layers, whose
+    weight rows are the columns of input one and of input two."""
+    return 0, len(config.branch1_hidden)
+
+
+def split_input_rows(
+    params: ModelParams, rows: tuple[np.ndarray, np.ndarray]
+) -> tuple[ModelParams, list[np.ndarray]]:
+    """The model that reads only the input columns ``rows`` (sorted indices
+    into input one and into input two), and the rows of the two first
+    layers' weights that it leaves out.  Its parameters are ``params``'s
+    with those rows deleted, in the same layout."""
+    config = replace(params.config, input1_dim=len(rows[0]), input2_dim=len(rows[1]))
+    small = ModelParams(config, np.empty(config.n_params, params.flat.dtype))
+    first = dict(zip(_input_layers(config), rows))
+    left_out = []
+    for i, (w, w_small) in enumerate(zip(params.weights, small.weights)):
+        if i in first:
+            w_small[...] = w[first[i]]
+            left_out.append(np.delete(w, first[i], axis=0))
+        else:
+            w_small[...] = w
+    for b, b_small in zip(params.biases, small.biases):
+        b_small[...] = b
+    return small, left_out
+
+
+def join_input_rows(
+    small: ModelParams, rows: tuple[np.ndarray, np.ndarray], left_out: list[np.ndarray], config: ModelConfig
+) -> ModelParams:
+    """The model of ``config`` that ``split_input_rows`` split into
+    ``small`` and ``left_out`` over ``rows``, as a new parameter vector."""
+    params = ModelParams(config, np.empty(config.n_params, small.flat.dtype))
+    first = dict(zip(_input_layers(config), zip(rows, left_out)))
+    for i, (w, w_small) in enumerate(zip(params.weights, small.weights)):
+        if i in first:
+            kept, rest = first[i]
+            left = np.ones(len(w), bool)
+            left[kept] = False
+            w[kept] = w_small
+            w[left] = rest
+        else:
+            w[...] = w_small
+    for b, b_small in zip(params.biases, small.biases):
+        b[...] = b_small
     return params
 
 

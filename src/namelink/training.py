@@ -23,6 +23,17 @@ two is unpacked from each entry's float32 text row, which the bank holds as
 its set values only.  Every float32 value is its float64 value rounded
 once: the pair half of input one and each text row are summed and halved
 in float64 and rounded as they are stored.
+
+The hashed inputs are 2 x 200 name and 768 text columns wide, and a small
+block's records leave many of them +0.0 in every row.  The bank keeps only
+the columns its rows set, and the block's model trains on those alone: a
+first-layer weight row fed by another column would get an exactly zero
+gradient at every step and keep its initial value, so forward, backward
+and Adam skip those rows.  The result is full size again, those rows at
+their initial weights.  The first layers' products then leave out only
+exact zero terms, but in another summation order, so a block's params
+differ from the full model's in the last bits; a block whose rows set
+every column trains the full model itself.
 """
 
 from __future__ import annotations
@@ -48,13 +59,17 @@ from .model import (
     forward_batch,
     init_adam_state,
     init_model,
+    join_input_rows,
     loss_and_gradients_batch,
+    split_input_rows,
 )
 from .names import normalize_name
 from .records import AuthorId
 
 MODE_FULL = "FULL"
 MODE_ANV = "ANV"
+# the scratch a column drop holds at once: it works a few rows at a time
+_CHUNK_BYTES = 1 << 16
 
 
 class TrainingError(Exception):
@@ -163,7 +178,8 @@ class PackedRows:
 
     The rows are compacted one at a time as ``rows`` yields them, so no
     dense matrix of them is ever built; :meth:`take` rebuilds the dense
-    rows of a batch, bit for bit."""
+    rows of a batch, bit for bit.  ``set_columns`` marks the columns that
+    any row sets, and :meth:`keep_columns` drops the others."""
 
     def __init__(self, rows: Iterable[np.ndarray], n_rows: int, dim: int):
         self.dim = dim
@@ -172,10 +188,12 @@ class PackedRows:
         self._start = np.zeros(n_rows + 1, np.int64)
         values = np.empty(16 * n_rows, np.float32)
         row32 = np.empty(dim, np.float32)
+        self.set_columns = np.zeros(dim, bool)
         used = 0
         for i, row in enumerate(rows):
             row32[:] = row
             is_set = row32.view(np.uint32) != 0
+            self.set_columns |= is_set
             self._bits[i] = np.packbits(is_set)
             kept = row32[is_set]
             if used + kept.size > values.size:
@@ -186,6 +204,20 @@ class PackedRows:
             self._start[i + 1] = used
         values.resize(used, refcheck=False)
         self._values = values
+
+    def keep_columns(self, columns: np.ndarray) -> None:
+        """Keep only the columns ``columns`` (sorted indices, every set
+        column among them): the values stay as they are, and the bits are
+        packed again a few rows at a time.  With every column kept nothing
+        is copied."""
+        if len(columns) == self.dim:
+            return
+        bits = np.empty((len(self._bits), (len(columns) + 7) // 8), np.uint8)
+        step = max(1, _CHUNK_BYTES // self.dim)
+        for lo in range(0, len(bits), step):
+            dense = np.unpackbits(self._bits[lo : lo + step], axis=1, count=self.dim).view(bool)
+            bits[lo : lo + step] = np.packbits(dense[:, columns], axis=1)
+        self._bits, self.dim, self.set_columns = bits, len(columns), self.set_columns[columns]
 
     def take(self, idx: np.ndarray) -> np.ndarray:
         """The dense float32 rows ``idx`` (an index array; rows may repeat)."""
@@ -201,6 +233,30 @@ class PackedRows:
         return out
 
 
+def _kept_columns(is_set: np.ndarray) -> np.ndarray:
+    """The columns an input keeps: those that some row sets, or column 0
+    when none is, as a model input is at least one column wide; a column
+    that no row sets is harmless."""
+    columns = np.flatnonzero(is_set)
+    return columns if columns.size else np.arange(1)
+
+
+def _take_columns_in_place(matrix: np.ndarray, columns: np.ndarray) -> None:
+    """Keep only the columns ``columns`` (sorted indices) of ``matrix``, in
+    place: a few rows at a time are written over the front of its buffer,
+    never past a row still to be read, and the buffer is then shrunk, so no
+    second matrix is built.  ``matrix`` must own its data, and no view of
+    it may be used afterwards."""
+    n, kept = len(matrix), len(columns)
+    flat = matrix.reshape(-1)
+    step = max(1, _CHUNK_BYTES // matrix[:1].nbytes)
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        flat[lo * kept : hi * kept] = matrix[lo:hi, columns].ravel()
+    del flat
+    matrix.resize((n, kept), refcheck=False)
+
+
 class SampleBank:
     """Every training input of a list of block entries, held as what its
     rows are built from: row ids into one float64 matrix that holds each
@@ -212,6 +268,16 @@ class SampleBank:
     the set values of one text row per entry, and the names it uses.  A
     block trains on one bank over its train and then its validation
     entries: each part is a range of rows, which ``entry_start`` bounds.
+
+    A bank keeps only the input columns its rows set, ``name_columns`` of
+    the name encoder's and ``text_columns`` of the text encoder's, at least
+    one of each; in every other column each row holds +0.0.  Its rows are
+    ``2 * name_dim`` and ``text_dim`` wide: each half of x1 holds the kept
+    name columns, which first names and co-authors share.  The name matrix
+    drops the other columns in place, a few rows at a time, and the text
+    rows' bits are packed again, so each name costs 8 bytes and each entry
+    one bit per kept column.  A bank whose rows set every column copies
+    nothing.
 
     The sample rule: an entry (record, target position) whose record has
     omega authors gives 2*omega rows.  For each author position p, the target
@@ -248,7 +314,6 @@ class SampleBank:
             entry_firsts.append((intern(target.first_name), intern(target.anv_first)))
             entry_labels.append(class_index[entry.target.author_id])
 
-        self.name_dim = encoders.name.dim
         pairs = np.array(entry_pairs, dtype=np.int64)
         rows_per_entry = 2 * pairs
         # entry e's rows are entry_start[e]:entry_start[e + 1]
@@ -265,16 +330,42 @@ class SampleBank:
         self.labels = np.array(entry_labels, dtype=np.int64)[self._row_entry]
         records = [e.record for e in entries]
         titles, sources = [r.title for r in records], [r.source for r in records]
-        self.text_dim = encoders.text.dim
-        self._text_rows = PackedRows(text_rows(encoders.text, titles, sources), len(records), self.text_dim)
+        self._text_rows = PackedRows(text_rows(encoders.text, titles, sources), len(records), encoders.text.dim)
         # row i: the name with row id i, the one copy of its vector
-        self._names = np.empty((len(string_ids), self.name_dim))
-        for row, s in zip(self._names, string_ids):
-            row[:] = encoders.name.encode(s)
+        self._names = np.empty((len(string_ids), encoders.name.dim))
+        # the OR of the names' bit patterns: a column is set where it is not
+        # +0.0, as in PackedRows
+        name_bits = np.zeros(encoders.name.dim, np.uint64)
+        for i, s in enumerate(string_ids):
+            self._names[i] = encoders.name.encode(s)
+            name_bits |= self._names[i].view(np.uint64)
+        self._drop_unset_columns(name_bits != 0)
+
+    def _drop_unset_columns(self, names_set: np.ndarray) -> None:
+        """Keep the name columns ``names_set`` marks and the text columns
+        that some text row sets, at least one of each; in the others every
+        row holds +0.0.  One set of name columns serves both halves of x1,
+        as first names and co-authors share the name space.  An input whose
+        columns are all kept is not copied."""
+        self.name_columns = _kept_columns(names_set)
+        self.text_columns = _kept_columns(self._text_rows.set_columns)
+        if self.name_dim < len(names_set):
+            _take_columns_in_place(self._names, self.name_columns)
+        self._text_rows.keep_columns(self.text_columns)
 
     @property
     def n_samples(self) -> int:
         return self.labels.size
+
+    @property
+    def name_dim(self) -> int:
+        """The width of each half of x1: the name columns kept."""
+        return self.name_columns.size
+
+    @property
+    def text_dim(self) -> int:
+        """The width of x2: the text columns kept."""
+        return self.text_columns.size
 
     def assign_coauthors(self, rng: np.random.Generator, rows: slice) -> None:
         """Redraw the j of every twin pair in ``rows``, a slice start:stop
@@ -374,6 +465,8 @@ class TrainResult:
     # wall time of each epoch, kept out of ``history`` so histories stay
     # byte-stable across reruns
     epoch_seconds: list[float]
+    # the name and text columns the block's rows set, which the model trained on
+    input_columns: dict[str, int]
 
 
 def history_lines(history: Iterable[EpochStats]) -> list[str]:
@@ -429,6 +522,11 @@ def train_block_model(
     and ``config.seed`` set the rest.  Blocks
     without validation records fall back to scoring the training bank for
     the stopping signal, flagged in the result.
+
+    The full-size initial weights are drawn as the config gives them; the
+    loop trains the model over the bank's columns, split from them, and
+    keeps only the first-layer rows it leaves out, which the returned
+    parameters hold unchanged.
     """
     config = config or TrainRunConfig()
     train_entries = split.entries(block, Split.TRAIN)
@@ -459,16 +557,24 @@ def train_block_model(
         bank.assign_coauthors(np.random.default_rng(val_seq), val_rows)
 
     init_seed = int(init_seq.generate_state(1, dtype=np.uint32)[0])
+    name_dim = encoders.name.dim
     model_config = replace(
         model_config or ModelConfig(n_classes=block.n_classes),
         n_classes=block.n_classes,
-        input1_dim=2 * bank.name_dim,
-        input2_dim=bank.text_dim,
+        input1_dim=2 * name_dim,
+        input2_dim=encoders.text.dim,
         seed=init_seed,
     )
 
     # models train in float32; the initial weights are still drawn in float64
     params = ModelParams(model_config, init_model(model_config).flat.astype(np.float32))
+    # the model trains on the bank's columns: a first-layer row that an
+    # unset column feeds has a zero gradient at every step, so it keeps its
+    # initial weights, and only those rows are kept for the result
+    compacted = bank.name_dim < name_dim or bank.text_dim < encoders.text.dim
+    if compacted:
+        rows = (np.concatenate([bank.name_columns, name_dim + bank.name_columns]), bank.text_columns)
+        params, left_out = split_input_rows(params, rows)
     adam = init_adam_state(params, lr=config.learning_rate)
     monitor = TrainingMonitor(config.patience)
     history: list[EpochStats] = []
@@ -508,6 +614,11 @@ def train_block_model(
             stopped_early = True
             break
 
+    if compacted:
+        # the moments go before the two full-size vectors are built
+        del adam
+        best_params = join_input_rows(best_params, rows, left_out, model_config)
+        params = join_input_rows(params, rows, left_out, model_config)
     return TrainResult(
         best_params=best_params,
         final_params=params,
@@ -517,4 +628,5 @@ def train_block_model(
         val_on_train=val_on_train,
         class_counts=counts,
         epoch_seconds=epoch_seconds,
+        input_columns={"name": bank.name_dim, "text": bank.text_dim},
     )

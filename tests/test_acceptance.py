@@ -254,7 +254,7 @@ def test_a4_sample_generation_law():
             class_index = {m.author_id: i for i, m in enumerate(record.authors)}
             bank = SampleBank([BlockEntry(record, position)], class_index, enc)
             bank.assign_coauthors(rng, slice(0, bank.n_samples))
-            x1, _ = bank.rows(np.arange(bank.n_samples))
+            x1, _ = conftest.widen(bank, *bank.rows(np.arange(bank.n_samples)))
             assert x1.shape[0] == 2 * omega
 
             forms = [normalize_name(m.display_name) for m in record.authors]

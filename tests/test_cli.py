@@ -434,6 +434,24 @@ class TestTrain:
         assert 0.0 < block["train_s"] <= entry["duration_s"] + 1e-3
         assert block["train_samples_per_s"] == pytest.approx(block["train_samples"] / block["train_s"])
 
+    def test_manifest_reports_the_input_columns_of_the_train_block_shape(self, tmp_path, capsys):
+        """The benchmark's train-block corpus at seed 1: its records set 140
+        of the 200 name columns and 433 of the 768 text columns, the input
+        columns the block's model trains on."""
+        corpus, manifest = str(tmp_path / "a7.nd"), str(tmp_path / "m")
+        shape = ["--authors", "20", "--clique", "5", "--records-per-author", "40", "--vocab", "30"]
+        assert main(["gen-synth", "--out", corpus, "--block", "Y Chen", *shape, "--seed", "1", "--manifest", manifest]) == 0
+        rc = main(
+            [
+                "train", "--corpus", corpus, "--block", "Y Chen", "--out", str(tmp_path / "t.npz"),
+                "--max-epochs", "1", "--seed", "1", "--manifest", manifest,
+            ]
+        )
+        capsys.readouterr()
+        assert rc == 0
+        (block,) = manifest_entries(manifest)[-1]["result"]["blocks"]
+        assert block["input_columns"] == {"name": 140, "text": 433}
+
     def test_manifest_reports_epoch_times_and_run_identity(self, ws, tmp_path, capsys):
         manifest, ckpt = tmp_path / "m", tmp_path / "t.npz"
         rc = main(

@@ -24,9 +24,11 @@ from namelink.model import (
     forward_batch,
     init_adam_state,
     init_model,
+    join_input_rows,
     load_checkpoint,
     loss_and_gradients_batch,
     save_checkpoint,
+    split_input_rows,
 )
 from namelink.encoders import default_encoders
 from namelink.records import AuthorId
@@ -370,6 +372,45 @@ class TestDropout:
 
 
 # more parameters than one Adam chunk, ending in a partial chunk
+class TestInputRows:
+    """A model over some of its input columns: the first layers of both
+    branches keep those weight rows, every other parameter whole."""
+
+    # two layers in branch one, so branch two's first layer is layer 2
+    CONFIG = ModelConfig(
+        n_classes=3, input1_dim=10, input2_dim=7, branch1_hidden=(5, 4), branch2_hidden=(6,), merged_hidden=(4,), seed=2
+    )
+    ROWS = (np.array([0, 3, 4, 9]), np.array([2, 6]))
+
+    def test_split_keeps_the_rows_and_join_restores_every_bit(self):
+        params = init_model(self.CONFIG)
+        small, left_out = split_input_rows(params, self.ROWS)
+        assert small.config == dataclasses.replace(self.CONFIG, input1_dim=4, input2_dim=2)
+        np.testing.assert_array_equal(small.weights[0], params.weights[0][self.ROWS[0]])
+        np.testing.assert_array_equal(small.weights[2], params.weights[2][self.ROWS[1]])
+        for i in (1, 3, 4):
+            np.testing.assert_array_equal(small.weights[i], params.weights[i])
+        for b_small, b in zip(small.biases, params.biases):
+            np.testing.assert_array_equal(b_small, b)
+        assert [rows.shape for rows in left_out] == [(6, 5), (5, 6)]
+        joined = join_input_rows(small, self.ROWS, left_out, self.CONFIG)
+        assert joined.flat.tobytes() == params.flat.tobytes()
+        assert not np.shares_memory(joined.flat, params.flat)
+
+    def test_small_model_on_its_columns_scores_as_the_full_model(self):
+        """On inputs that are +0.0 outside the kept columns, the full model
+        only adds exact zeros, in another order."""
+        params = init_model(self.CONFIG)
+        small, _ = split_input_rows(params, self.ROWS)
+        rng = np.random.default_rng(3)
+        x1, x2 = np.zeros((8, 10)), np.zeros((8, 7))
+        x1[:, self.ROWS[0]] = rng.normal(size=(8, 4))
+        x2[:, self.ROWS[1]] = rng.normal(size=(8, 2))
+        full, _ = forward_batch(params, x1, x2)
+        kept, _ = forward_batch(small, x1[:, self.ROWS[0]], x2[:, self.ROWS[1]])
+        np.testing.assert_allclose(kept, full, rtol=1e-12, atol=0)
+
+
 ADAM_CONFIG = ModelConfig(
     n_classes=7, input1_dim=300, input2_dim=250, branch1_hidden=(100,), branch2_hidden=(90,),
     merged_hidden=(80, 40),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import widen
 from namelink.blocking import build_block
 from namelink.encoders import Encoders, HashingTextEncoder
 from namelink.names import AuthorRegistry, build_author_registry, normalize_name
@@ -156,8 +157,8 @@ class TestAtomicVariate:
         encoder = OneHotNames()
         bank = SampleBank(block.entries, block.class_index, Encoders(encoder, HashingTextEncoder()))
         # before the first co-author draw the j slot is "", the zero vector
-        x1, _ = bank.rows(np.arange(bank.n_samples))
         dim = encoder.dim
+        x1, _ = widen(bank, *bank.rows(np.arange(bank.n_samples)), name_dim=dim)
         for e, entry in enumerate(block.entries):
             names = [normalize_name(m.display_name) for m in entry.record.authors]
             anvs = [n.anv for n in names] if len(names) > 1 else [""]

@@ -8,13 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import namelink.training
+from conftest import widen
 from namelink.blocking import BlockEntry, build_block
 from namelink.encoders import NAME_DIM, TEXT_DIM, HashingTextEncoder, TableEncoder, default_encoders, name_input
 from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
 from namelink.names import build_author_registry, normalize_name
+from namelink.predict import predict_author
 from namelink.records import AuthorId, AuthorMention, BibRecord
 from namelink.training import (
     EVAL_BATCH,
+    MODE_FULL,
     EpochStats,
     PackedRows,
     SampleBank,
@@ -149,8 +152,8 @@ def one_entry_bank(record, position, enc, seed=None):
 
 
 def all_rows(bank):
-    """(x1, x2) of every row of ``bank``, in row order."""
-    return bank.rows(np.arange(bank.n_samples))
+    """(x1, x2) of every row of ``bank``, in row order, at the encoders' widths."""
+    return widen(bank, *bank.rows(np.arange(bank.n_samples)))
 
 
 def f32(x):
@@ -315,7 +318,7 @@ class TestSampleBank:
         # the validation rows draw as a bank of their entries alone does
         alone = SampleBank(block.entries[2:], block.class_index, enc)
         alone.assign_coauthors(np.random.default_rng(3), slice(0, alone.n_samples))
-        np.testing.assert_array_equal(bank.rows(val)[0], all_rows(alone)[0])
+        np.testing.assert_array_equal(widen(bank, *bank.rows(val))[0], all_rows(alone)[0])
         rng = np.random.default_rng(4)
         drawn = set()
         for _ in range(4):
@@ -332,12 +335,13 @@ class TestSampleBank:
             bank.assign_coauthors(rng, slice(0, bank.n_samples))
             full_x1, full_x2 = all_rows(bank)
             idx = rng.permutation(bank.n_samples)[:11]
-            x1, x2 = bank.rows(idx)
+            x1, x2 = widen(bank, *bank.rows(idx))
             np.testing.assert_array_equal(x1, full_x1[idx])
             np.testing.assert_array_equal(x2, full_x2[idx])
             out = np.full((idx.size, 2 * bank.name_dim), np.nan, np.float32)
-            assert bank.rows(idx, out=out)[0] is out
-            np.testing.assert_array_equal(out, full_x1[idx])
+            got, x2 = bank.rows(idx, out=out)
+            assert got is out
+            np.testing.assert_array_equal(widen(bank, out, x2)[0], full_x1[idx])
 
     def test_rows_are_the_float64_rows_rounded_once(self):
         """x1 is ``name_input`` over the rows' name ids and x2 the gather of
@@ -355,7 +359,48 @@ class TestSampleBank:
             x1, x2 = bank.rows(idx)
             assert x1.dtype == x2.dtype == np.float32
             np.testing.assert_array_equal(x1, x1_64.astype(np.float32))
-            np.testing.assert_array_equal(x2, text64[bank._row_entry[idx]].astype(np.float32))
+            np.testing.assert_array_equal(widen(bank, x1, x2)[1], text64[bank._row_entry[idx]].astype(np.float32))
+
+    def test_keeps_the_columns_its_rows_set(self):
+        block = self.make_block()
+        enc = default_encoders()
+        bank = SampleBank(block.entries, block.class_index, enc)
+        names = np.array([enc.name(s) for s in TestSampleBankMemory.names_of(block)])
+        records = [e.record for e in block.entries]
+        text = dense_text_rows(enc.text, [r.title for r in records], [r.source for r in records])
+        np.testing.assert_array_equal(bank.name_columns, np.flatnonzero((names != 0).any(axis=0)))
+        np.testing.assert_array_equal(bank.text_columns, np.flatnonzero((text != 0).any(axis=0)))
+        assert 0 < bank.name_dim < NAME_DIM and 0 < bank.text_dim < TEXT_DIM
+        assert bank._names.shape == (len(names), bank.name_dim)
+        x1, x2 = bank.rows(np.arange(bank.n_samples))
+        assert x1.shape[1] == 2 * bank.name_dim and x2.shape[1] == bank.text_dim
+
+    def test_a_bank_that_sets_every_column_keeps_its_arrays(self, monkeypatch):
+        held = []
+        real_drop = SampleBank._drop_unset_columns
+
+        def spy(self, names_set):
+            held.append((self._names, self._text_rows._bits, self._text_rows._values))
+            real_drop(self, names_set)
+
+        monkeypatch.setattr(SampleBank, "_drop_unset_columns", spy)
+        block = self.make_block()
+        rng = np.random.default_rng(25)
+        # table vectors without a zero, so each name and text row sets every column
+        names = TestSampleBankMemory.names_of(block) - {""}
+        name_table = {s: rng.normal(size=NAME_DIM) for s in sorted(names)}
+        texts = sorted({t for e in block.entries for t in (e.record.title, e.record.source)} - {""})
+        enc = default_encoders()
+        enc = enc._replace(
+            name=TableEncoder(name_table, enc.name, NAME_DIM, "0" * 64),
+            text=table_text_encoder({t: rng.normal(size=TEXT_DIM) for t in texts}),
+        )
+        bank = SampleBank(block.entries, block.class_index, enc)
+        assert (bank.name_dim, bank.text_dim) == (NAME_DIM, TEXT_DIM)
+        ((names_before, bits_before, values_before),) = held
+        assert np.shares_memory(bank._names, names_before)
+        assert np.shares_memory(bank._text_rows._bits, bits_before)
+        assert np.shares_memory(bank._text_rows._values, values_before)
 
     def test_forward_batch_reads_bank_rows_without_a_copy(self):
         block = self.make_block()
@@ -415,8 +460,8 @@ class TestPackedTextRows:
         titles, sources = [t for t, _ in pairs], [s for _, s in pairs]
         bank, text32 = text_bank(titles, sources, HashingTextEncoder())
         idx = np.random.default_rng(len(pairs)).permutation(bank.n_samples)
-        assert_same_bits(bank.rows(idx)[1], text32[bank._row_entry[idx]])
-        assert_same_bits(bank.rows(slice(0, bank.n_samples))[1], text32[bank._row_entry])
+        assert_same_bits(widen(bank, *bank.rows(idx))[1], text32[bank._row_entry[idx]])
+        assert_same_bits(widen(bank, *bank.rows(slice(0, bank.n_samples)))[1], text32[bank._row_entry])
 
     def test_table_vectors_without_a_zero(self):
         rng = np.random.default_rng(21)
@@ -435,7 +480,7 @@ class TestPackedTextRows:
         encoder = table_text_encoder({"title": vec, "venue": vec.copy(), "other": -vec})
         bank, text32 = text_bank(["title", "title", "other"], ["venue", "", "venue"], encoder)
         assert np.signbit(text32[0, ::3]).all() and (text32[0, ::3] == 0).all()
-        assert_same_bits(bank.rows(np.arange(bank.n_samples))[1], text32[bank._row_entry])
+        assert_same_bits(all_rows(bank)[1], text32[bank._row_entry])
 
     def test_rows_without_a_zero_cost_at_most_a_32nd_more(self):
         rng = np.random.default_rng(23)
@@ -557,7 +602,10 @@ class TestSampleBankMemory:
             assert enc.name.miss_count == len(names) - len(table)
         assert hashing.calls == 0 and not hashing._cache
         assert len(bank._names) == len(names)
-        assert {row.tobytes() for row in bank._names} == {enc.name(s).tobytes() for s in names}
+        # the bank keeps the columns some name sets
+        vectors = np.array([enc.name(s) for s in names])
+        np.testing.assert_array_equal(np.flatnonzero((vectors != 0).any(axis=0)), bank.name_columns)
+        assert {row.tobytes() for row in bank._names} == {v[bank.name_columns].tobytes() for v in vectors}
 
     def test_traced_peak_is_per_entry_and_per_name(self):
         """A block's bank over its train and validation entries, built as
@@ -589,9 +637,11 @@ class TestSampleBankMemory:
             tracemalloc.stop()
         records = [e.record for e in block.entries]
         text32 = dense_text_rows(enc.text, [r.title for r in records], [r.source for r in records])
-        # per entry its set values, one bit per column and where its values start
-        text_bytes = 4 * np.count_nonzero(text32.view(np.uint32)) + len(records) * (bank.text_dim // 8 + 8)
-        bound = text_bytes + self.distinct_names(block) * bank.name_dim * 8 + bank.n_samples * 64 + self.SLACK
+        # per entry its set values, one bit per column and where its values
+        # start; per name its vector, encoded at the encoder's width before
+        # the bank drops the columns no name sets
+        text_bytes = 4 * np.count_nonzero(text32.view(np.uint32)) + len(records) * (enc.text.dim // 8 + 8)
+        bound = text_bytes + self.distinct_names(block) * enc.name.dim * 8 + bank.n_samples * 64 + self.SLACK
         assert peak - before < bound
 
     def test_train_and_validation_banks_index_one_name_matrix(self, monkeypatch):
@@ -916,6 +966,84 @@ class TestTrainBlockModel:
         )
         # 2 TRAIN records per author, 3 authors each -> 2*2*3 samples per class
         assert result.class_counts.tolist() == [12, 12]
+
+
+class TestInputColumns:
+    """A block model trains on the input columns its bank's rows set; the
+    first-layer rows of the other columns keep their initial weights."""
+
+    CONFIG = TrainRunConfig(max_epochs=12, patience=50, batch_size=16, learning_rate=3e-2, seed=5)
+
+    @staticmethod
+    def train_watched(monkeypatch, block, config):
+        """Train ``block``, keeping its bank and a copy of the model each
+        validation pass scores: the last is the loop's final model."""
+        seen = {}
+        real_init, real_evaluate = SampleBank.__init__, namelink.training._evaluate_bank
+
+        def keep_bank(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            seen["bank"] = self
+
+        def keep_params(params, bank, rows):
+            seen["params"] = params.copy()
+            return real_evaluate(params, bank, rows)
+
+        monkeypatch.setattr(SampleBank, "__init__", keep_bank)
+        monkeypatch.setattr(namelink.training, "_evaluate_bank", keep_params)
+        result = train_block_model(block, split_per_author(block, seed=1), default_encoders(), config, SMALL_MODEL)
+        return result, seen["bank"], seen["params"]
+
+    def test_never_set_rows_keep_their_initial_weights(self, monkeypatch):
+        result, bank, _ = self.train_watched(monkeypatch, separable_block(), self.CONFIG)
+        # best and final are different epochs' parameters
+        assert result.best_epoch < len(result.history)
+        config = result.best_params.config
+        assert (config.input1_dim, config.input2_dim) == (2 * NAME_DIM, TEXT_DIM)
+        initial = ModelParams(config, init_model(config).flat.astype(np.float32))
+        kept1 = np.concatenate([bank.name_columns, NAME_DIM + bank.name_columns])
+        unset1 = np.setdiff1d(np.arange(2 * NAME_DIM), kept1)
+        unset2 = np.setdiff1d(np.arange(TEXT_DIM), bank.text_columns)
+        assert unset1.size and unset2.size
+        assert result.input_columns == {"name": bank.name_dim, "text": bank.text_dim}
+        branch2 = len(config.branch1_hidden)
+        for params in (result.best_params, result.final_params):
+            assert params.weights[0][unset1].tobytes() == initial.weights[0][unset1].tobytes()
+            assert params.weights[branch2][unset2].tobytes() == initial.weights[branch2][unset2].tobytes()
+            # rows of both halves of input one and of input two trained
+            for w, rows in ((0, bank.name_columns), (0, NAME_DIM + bank.name_columns), (branch2, bank.text_columns)):
+                assert (params.weights[w][rows] != initial.weights[w][rows]).any()
+
+    def test_full_size_model_scores_full_rows_as_the_trained_model_its_rows(self, monkeypatch):
+        """The final full-size model on the bank's rows at the encoders'
+        widths agrees with the model the loop trained on the bank's rows;
+        it only adds exact zeros, in another float32 order.  A row put back
+        at the wrong place, such as the pair half's without its offset,
+        fails this."""
+        result, bank, trained = self.train_watched(monkeypatch, separable_block(), self.CONFIG)
+        assert (trained.config.input1_dim, trained.config.input2_dim) == (2 * bank.name_dim, bank.text_dim)
+        x1, x2 = bank.rows(np.arange(bank.n_samples))
+        full, _ = forward_batch(result.final_params, *widen(bank, x1, x2))
+        kept, _ = forward_batch(trained, x1, x2)
+        assert full.dtype == kept.dtype == np.float32
+        np.testing.assert_allclose(full, kept, rtol=1e-5, atol=1e-6)
+
+    def test_block_whose_records_set_no_text_column_trains_and_predicts(self):
+        """Titles without a word token and empty venues give an all-zero
+        input two: the bank keeps one text column, which no row sets."""
+        corpus = []
+        for k in range(6):
+            corpus.append(rec(f"x{k}", "Ping Xu", "Jin Tan", title="-- ??", source=""))
+            corpus.append(rec(f"y{k}", "Pang Xu", "Mei Qiu", title="!!!", source=""))
+        block = build_block(corpus, build_author_registry(corpus), "P Xu")
+        enc = default_encoders()
+        config = TrainRunConfig(max_epochs=3, batch_size=16, seed=5)
+        result = train_block_model(block, split_per_author(block, seed=1), enc, config, SMALL_MODEL)
+        assert result.input_columns["text"] == 1
+        assert result.best_params.config.input2_dim == TEXT_DIM
+        prediction = predict_author(result.best_params, block.class_index, corpus[0], "Ping Xu", MODE_FULL, enc)
+        assert prediction.chosen in block.class_index
+        assert np.isfinite(prediction.scores).all()
 
 
 class TestTrainRunConfig:
