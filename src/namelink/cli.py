@@ -376,7 +376,7 @@ def _cmd_predict(args) -> dict:
     prediction = predict_author(
         bundle.params, class_index, record, args.name, variate_mode, encoders, aggregation=args.agg
     )
-    print(render_prediction(prediction))
+    print(render_prediction(prediction, bundle.class_index))
     return {
         "route": "AMBIGUOUS",
         "name": args.name,

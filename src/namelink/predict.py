@@ -79,11 +79,13 @@ def route_name(registry: AuthorRegistry, raw_name: str) -> Route:
 
 @dataclass
 class Prediction:
+    """A record's score per class index and its chosen author, the lowest-index
+    argmax; no ranking, as :func:`render_prediction` ranks what it prints."""
+
     target_name: str
     pool: tuple[str, ...]
     pair_count: int
     scores: np.ndarray
-    ranked: tuple[AuthorId, ...]
     chosen: AuthorId
     aggregation: str
     variate_mode: str
@@ -103,7 +105,8 @@ def predict_author(
     The pool holds the record's author names plus the target name once
     more, so a record with omega authors yields C(omega+1, 2) pairs; each
     pair is scored in infer mode and the per-class vectors are summed (or
-    max-pooled).  Ties in the final argmax fall to the lowest class index.
+    max-pooled).  The chosen author is the lowest-index argmax, whatever
+    order ``class_index`` lists the classes in; no class is ranked here.
     """
     if variate_mode not in (MODE_FULL, MODE_ANV):
         raise PredictionError(f"unknown variate mode {variate_mode!r}")
@@ -134,16 +137,13 @@ def predict_author(
     else:
         scores = probs.max(axis=0)
 
-    authors = sorted(class_index, key=class_index.__getitem__)
-    order = np.argsort(-scores, kind="stable")
-    chosen = authors[int(np.argmax(scores))]
+    best = int(np.argmax(scores))
     return Prediction(
         target_name=target_name,
         pool=pool,
         pair_count=int(pair_count),
         scores=scores,
-        ranked=tuple(authors[int(i)] for i in order),
-        chosen=chosen,
+        chosen=next(author for author, i in class_index.items() if i == best),
         aggregation=aggregation,
         variate_mode=variate_mode,
     )
@@ -215,8 +215,10 @@ def pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(order[:, None] < order)
 
 
-def render_prediction(prediction: Prediction) -> str:
-    """Structured text: target, pool, pair count, then the top five scores."""
+def render_prediction(prediction: Prediction, classes: list[AuthorId]) -> str:
+    """Target, pool, pair count, then the top five of ``classes`` (the authors
+    in class-index order) by a stable sort of the negated scores, so ties
+    print lowest index first; fewer than five classes all print."""
     lines = [
         f"target\t{prediction.target_name}",
         f"mode\t{prediction.variate_mode}",
@@ -224,8 +226,7 @@ def render_prediction(prediction: Prediction) -> str:
         f"pairs\t{prediction.pair_count}",
         f"aggregation\t{prediction.aggregation}",
     ]
-    ordered_scores = np.sort(prediction.scores)[::-1]
-    for rank, (author, score) in enumerate(zip(prediction.ranked[:5], ordered_scores), start=1):
-        lines.append(f"rank {rank}\t{author.render()}\t{score:.6f}")
+    for rank, i in enumerate(np.argsort(-prediction.scores, kind="stable")[:5], start=1):
+        lines.append(f"rank {rank}\t{classes[i].render()}\t{prediction.scores[i]:.6f}")
     lines.append(f"chosen\t{prediction.chosen.render()}")
     return "\n".join(lines)

@@ -456,7 +456,6 @@ class EpochStats:
 @dataclass
 class TrainResult:
     best_params: ModelParams
-    final_params: ModelParams
     best_epoch: int
     history: list[EpochStats]
     stopped_early: bool
@@ -615,13 +614,11 @@ def train_block_model(
             break
 
     if compacted:
-        # the moments go before the two full-size vectors are built
-        del adam
+        # the loop's model and moments go before the full-size vector is built
+        del params, adam
         best_params = join_input_rows(best_params, rows, left_out, model_config)
-        params = join_input_rows(params, rows, left_out, model_config)
     return TrainResult(
         best_params=best_params,
-        final_params=params,
         best_epoch=monitor.best_epoch,
         history=history,
         stopped_early=stopped_early,

@@ -467,7 +467,9 @@ def test_a8_early_stop_and_checkpoint():
 
         truncated = TrainRunConfig(**{**config.__dict__, "max_epochs": result.best_epoch})
         replay = train_block_model(block, split, enc, truncated, model_config)
-        assert np.array_equal(result.best_params.flat, replay.final_params.flat)
+        # the best epoch beat every earlier one, so it is the replay's last and best
+        assert replay.best_epoch == result.best_epoch == len(replay.history)
+        assert np.array_equal(result.best_params.flat, replay.best_params.flat)
     except BaseException:
         report("A-8", "FAIL")
         raise

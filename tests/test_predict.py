@@ -281,17 +281,31 @@ class TestPredictAuthor:
         )
         np.testing.assert_allclose(pred.scores, pred.scores[0])
         assert pred.chosen == CLASSES[0]
-        assert pred.ranked[0] == CLASSES[0]
+        assert [author for _, author, _ in ranks(render_prediction(pred, CLASSES))] == [a.render() for a in CLASSES]
 
     def test_ranking_sorted_by_score(self):
         params = init_model(SMALL)
         pred = predict_author(
             params, CLASS_INDEX, rec("k", "Wei Fan", "Jia Luo"), "W Fan", MODE_FULL, default_encoders()
         )
-        by_index = {a: pred.scores[CLASS_INDEX[a]] for a in CLASSES}
-        got = [by_index[a] for a in pred.ranked]
+        printed = ranks(render_prediction(pred, CLASSES))
+        by_name = {a.render(): pred.scores[CLASS_INDEX[a]] for a in CLASSES}
+        got = [by_name[author] for _, author, _ in printed]
         assert got == sorted(got, reverse=True)
-        assert pred.chosen == pred.ranked[0]
+        assert [score for *_, score in printed] == [f"{x:.6f}" for x in got]
+        assert pred.chosen.render() == printed[0][1]
+
+    @pytest.mark.parametrize("scores", [[0.25, 0.5, 0.25], [0.25, 0.5, 0.5], [0.5, 0.25, 0.5]])
+    def test_chosen_is_lowest_index_argmax_whatever_the_index_order(self, scores):
+        """A reversed dict lists the classes from the highest index down: the
+        chosen author is still the first maximum by index."""
+        reversed_index = dict(reversed(CLASS_INDEX.items()))
+        assert list(reversed_index) != CLASSES and reversed_index == CLASS_INDEX
+        params = tied_model(SMALL, np.log(scores))
+        record = rec("k", "Wei Fan", "Jia Luo")
+        for class_index in (CLASS_INDEX, reversed_index):
+            pred = predict_author(params, class_index, record, "W Fan", MODE_FULL, default_encoders())
+            assert pred.chosen == CLASSES[int(np.argmax(scores))]
 
     def test_float64_checkpoint_scores_unchanged(self, tmp_path):
         """A float64 checkpoint still predicts in float64, with the scores the
@@ -419,15 +433,78 @@ class TestPairIndices:
             assert got.scores.tobytes() == want.scores.tobytes()
 
 
+def ranks(text):
+    """The (rank, author, score) fields of a printout's rank lines."""
+    return [tuple(line.split("\t")) for line in text.splitlines() if line.startswith("rank ")]
+
+
+def tied_model(config, logits):
+    """A model whose every pair gets the output bias ``logits``: all other
+    parameters are zero, so classes of equal logits tie bit for bit."""
+    params = ModelParams(config, np.zeros(config.n_params))
+    params.biases[-1][...] = logits
+    return params
+
+
+def ranked_printout(prediction, classes):
+    """The printout of a prediction that ranked every class: the top five of
+    a stable argsort of the negated scores, beside the scores sorted
+    descending."""
+    order = np.argsort(-prediction.scores, kind="stable")
+    ranked = tuple(classes[int(i)] for i in order)
+    lines = [
+        f"target\t{prediction.target_name}",
+        f"mode\t{prediction.variate_mode}",
+        f"pool\t{'; '.join(prediction.pool)}",
+        f"pairs\t{prediction.pair_count}",
+        f"aggregation\t{prediction.aggregation}",
+    ]
+    ordered_scores = np.sort(prediction.scores)[::-1]
+    for rank, (author, score) in enumerate(zip(ranked[:5], ordered_scores), start=1):
+        lines.append(f"rank {rank}\t{author.render()}\t{score:.6f}")
+    lines.append(f"chosen\t{prediction.chosen.render()}")
+    return "\n".join(lines)
+
+
+WIDE_CLASSES = [AuthorId("Wei Fan", k) for k in range(8)]
+WIDE = dataclasses.replace(SMALL, n_classes=len(WIDE_CLASSES))
+
+
 class TestRendering:
     def test_render_lines(self):
         params = init_model(SMALL)
         pred = predict_author(
             params, CLASS_INDEX, rec("k", "Wei Fan", "Jia Luo"), "W Fan", MODE_FULL, default_encoders()
         )
-        text = render_prediction(pred)
+        text = render_prediction(pred, CLASSES)
         assert "target\tW Fan" in text
         assert "pairs\t3" in text
         assert "rank 3\t" in text
         assert "rank 4\t" not in text
+        # fewer than five classes: every one is printed, once
+        assert sorted(author for _, author, _ in ranks(text)) == sorted(a.render() for a in CLASSES)
         assert text.endswith(f"chosen\t{pred.chosen.render()}")
+
+    def test_ties_print_lowest_index_first(self):
+        scores = np.array([0.1, 0.3, 0.3, 0.05, 0.3, 0.3, 0.2, 0.3])
+        pred = predict.Prediction("W Fan", ("W Fan",), 0, scores, WIDE_CLASSES[1], "sum", MODE_FULL)
+        printed = ranks(render_prediction(pred, WIDE_CLASSES))
+        assert [author for _, author, _ in printed] == [WIDE_CLASSES[i].render() for i in (1, 2, 4, 5, 7)]
+        assert [score for *_, score in printed] == ["0.300000"] * 5
+
+    @pytest.mark.parametrize(
+        "logits",
+        [[0.0] * 8, [1.0, 3.0, 3.0, 0.0, 3.0, 2.0, 3.0, 3.0], [2.0, 0.0, 2.0, 0.0, 2.0, 0.0, 0.0, 1.0], None],
+    )
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    def test_wide_model_prints_what_a_full_ranking_printed(self, logits, aggregation):
+        """More than five classes, with ties among and across the five
+        printed (``None`` is a random model without ties)."""
+        params = init_model(WIDE) if logits is None else tied_model(WIDE, logits)
+        class_index = {a: i for i, a in enumerate(WIDE_CLASSES)}
+        record = rec("k", "Wei Fan", "Jia Luo", "Ming Xie")
+        for mode in (MODE_FULL, MODE_ANV):
+            pred = predict_author(params, class_index, record, "W Fan", mode, default_encoders(), aggregation)
+            text = render_prediction(pred, WIDE_CLASSES)
+            assert text == ranked_printout(pred, WIDE_CLASSES)
+            assert len(ranks(text)) == 5

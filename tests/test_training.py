@@ -11,7 +11,7 @@ import namelink.training
 from conftest import widen
 from namelink.blocking import BlockEntry, build_block
 from namelink.encoders import NAME_DIM, TEXT_DIM, HashingTextEncoder, TableEncoder, default_encoders, name_input
-from namelink.model import ModelConfig, ModelParams, forward_batch, init_model
+from namelink.model import ModelConfig, ModelParams, forward_batch, init_model, split_input_rows
 from namelink.names import build_author_registry, normalize_name
 from namelink.predict import predict_author
 from namelink.records import AuthorId, AuthorMention, BibRecord
@@ -833,6 +833,35 @@ SMALL_MODEL = ModelConfig(
     n_classes=2, branch1_hidden=(16,), branch2_hidden=(16,), merged_hidden=(16, 8)
 )
 FAST = TrainRunConfig(max_epochs=25, patience=10, batch_size=16, seed=5)
+# trains on past its best epoch on separable_block()
+PAST_BEST = TrainRunConfig(max_epochs=12, patience=50, batch_size=16, learning_rate=3e-2, seed=5)
+
+
+def train_watched(monkeypatch, block, config):
+    """Train ``block``, keeping its bank, the loop's live model and a copy of
+    the model each validation pass scores, one per epoch: the last copy is
+    the final model, which the result does not hold."""
+    seen = {"epochs": []}
+    real_init, real_evaluate = SampleBank.__init__, namelink.training._evaluate_bank
+
+    def keep_bank(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        seen["bank"] = self
+
+    def keep_params(params, bank, rows):
+        seen["live"] = params
+        seen["epochs"].append(params.copy())
+        return real_evaluate(params, bank, rows)
+
+    monkeypatch.setattr(SampleBank, "__init__", keep_bank)
+    monkeypatch.setattr(namelink.training, "_evaluate_bank", keep_params)
+    result = train_block_model(block, split_per_author(block, seed=1), default_encoders(), config, SMALL_MODEL)
+    return result, seen["bank"], seen["live"], seen["epochs"]
+
+
+def input_rows(bank):
+    """The first layers' input rows that ``bank``'s columns feed."""
+    return np.concatenate([bank.name_columns, NAME_DIM + bank.name_columns]), bank.text_columns
 
 
 class TestTrainBlockModel:
@@ -862,19 +891,20 @@ class TestTrainBlockModel:
             np.testing.assert_array_equal(j_ids[val], after_val[val])
         assert len({j_ids[: val.start].tobytes() for *_, j_ids in reassigns}) > 1
 
-    def test_best_params_hold_the_best_epoch_after_training_goes_on(self):
+    def test_best_params_hold_the_best_epoch_after_training_goes_on(self, monkeypatch):
         block = separable_block()
-        split = split_per_author(block, seed=1)
-        config = TrainRunConfig(max_epochs=12, patience=50, batch_size=16, learning_rate=3e-2, seed=5)
-        result = train_block_model(block, split, default_encoders(), config, SMALL_MODEL)
-        assert result.best_epoch < len(result.history)
-        assert result.best_params.flat is not result.final_params.flat
-        assert not np.shares_memory(result.best_params.flat, result.final_params.flat)
-        replay = train_block_model(
-            block, split, default_encoders(), dataclasses.replace(config, max_epochs=result.best_epoch), SMALL_MODEL
-        )
-        assert np.array_equal(result.best_params.flat, replay.final_params.flat)
-        assert not np.array_equal(result.best_params.flat, result.final_params.flat)
+        result, bank, live, epochs = train_watched(monkeypatch, block, PAST_BEST)
+        assert result.best_epoch < len(result.history) == len(epochs)
+        assert result.best_params.flat is not live.flat
+        assert not np.shares_memory(result.best_params.flat, live.flat)
+        best, final = epochs[result.best_epoch - 1], epochs[-1]
+        assert split_input_rows(result.best_params, input_rows(bank))[0].flat.tobytes() == best.flat.tobytes()
+        assert not np.array_equal(best.flat, final.flat)
+        # the best epoch beat every earlier one, so it is the replay's best too
+        replay_config = dataclasses.replace(PAST_BEST, max_epochs=result.best_epoch)
+        replay = train_block_model(block, split_per_author(block, seed=1), default_encoders(), replay_config, SMALL_MODEL)
+        assert replay.best_epoch == result.best_epoch
+        assert np.array_equal(result.best_params.flat, replay.best_params.flat)
 
     def test_learns_separable_block_and_reproduces(self):
         block = separable_block()
@@ -897,7 +927,7 @@ class TestTrainBlockModel:
         other = TrainRunConfig(max_epochs=3, patience=10, batch_size=16, seed=6)
         a = train_block_model(block, split, default_encoders(), short, SMALL_MODEL)
         b = train_block_model(block, split, default_encoders(), other, SMALL_MODEL)
-        assert not np.array_equal(a.final_params.flat, b.final_params.flat)
+        assert not np.array_equal(a.best_params.flat, b.best_params.flat)
 
     def test_model_seed_comes_from_run_seed(self):
         block = separable_block(3)
@@ -906,7 +936,7 @@ class TestTrainBlockModel:
         seeded = dataclasses.replace(SMALL_MODEL, seed=12345)
         a = train_block_model(block, split, default_encoders(), short, SMALL_MODEL)
         b = train_block_model(block, split, default_encoders(), short, seeded)
-        assert np.array_equal(a.final_params.flat, b.final_params.flat)
+        assert np.array_equal(a.best_params.flat, b.best_params.flat)
 
     def test_val_on_train_fallback(self):
         corpus = [rec("a1", "Lu Han", "Co One"), rec("b1", "Li Han", "Co Two")]
@@ -972,58 +1002,43 @@ class TestInputColumns:
     """A block model trains on the input columns its bank's rows set; the
     first-layer rows of the other columns keep their initial weights."""
 
-    CONFIG = TrainRunConfig(max_epochs=12, patience=50, batch_size=16, learning_rate=3e-2, seed=5)
-
-    @staticmethod
-    def train_watched(monkeypatch, block, config):
-        """Train ``block``, keeping its bank and a copy of the model each
-        validation pass scores: the last is the loop's final model."""
-        seen = {}
-        real_init, real_evaluate = SampleBank.__init__, namelink.training._evaluate_bank
-
-        def keep_bank(self, *args, **kwargs):
-            real_init(self, *args, **kwargs)
-            seen["bank"] = self
-
-        def keep_params(params, bank, rows):
-            seen["params"] = params.copy()
-            return real_evaluate(params, bank, rows)
-
-        monkeypatch.setattr(SampleBank, "__init__", keep_bank)
-        monkeypatch.setattr(namelink.training, "_evaluate_bank", keep_params)
-        result = train_block_model(block, split_per_author(block, seed=1), default_encoders(), config, SMALL_MODEL)
-        return result, seen["bank"], seen["params"]
-
     def test_never_set_rows_keep_their_initial_weights(self, monkeypatch):
-        result, bank, _ = self.train_watched(monkeypatch, separable_block(), self.CONFIG)
+        result, bank, _, epochs = train_watched(monkeypatch, separable_block(), PAST_BEST)
         # best and final are different epochs' parameters
         assert result.best_epoch < len(result.history)
         config = result.best_params.config
         assert (config.input1_dim, config.input2_dim) == (2 * NAME_DIM, TEXT_DIM)
         initial = ModelParams(config, init_model(config).flat.astype(np.float32))
-        kept1 = np.concatenate([bank.name_columns, NAME_DIM + bank.name_columns])
+        kept1, kept2 = input_rows(bank)
         unset1 = np.setdiff1d(np.arange(2 * NAME_DIM), kept1)
-        unset2 = np.setdiff1d(np.arange(TEXT_DIM), bank.text_columns)
+        unset2 = np.setdiff1d(np.arange(TEXT_DIM), kept2)
         assert unset1.size and unset2.size
         assert result.input_columns == {"name": bank.name_dim, "text": bank.text_dim}
         branch2 = len(config.branch1_hidden)
-        for params in (result.best_params, result.final_params):
-            assert params.weights[0][unset1].tobytes() == initial.weights[0][unset1].tobytes()
-            assert params.weights[branch2][unset2].tobytes() == initial.weights[branch2][unset2].tobytes()
-            # rows of both halves of input one and of input two trained
-            for w, rows in ((0, bank.name_columns), (0, NAME_DIM + bank.name_columns), (branch2, bank.text_columns)):
-                assert (params.weights[w][rows] != initial.weights[w][rows]).any()
+        params = result.best_params
+        assert params.weights[0][unset1].tobytes() == initial.weights[0][unset1].tobytes()
+        assert params.weights[branch2][unset2].tobytes() == initial.weights[branch2][unset2].tobytes()
+        # rows of both halves of input one and of input two trained
+        for w, rows in ((0, bank.name_columns), (0, NAME_DIM + bank.name_columns), (branch2, bank.text_columns)):
+            assert (params.weights[w][rows] != initial.weights[w][rows]).any()
+        # the final model holds no row of an unset column, and trained the rows of both halves and input two
+        final, (start, _) = epochs[-1], split_input_rows(initial, (kept1, kept2))
+        assert (final.config.input1_dim, final.config.input2_dim) == (kept1.size, kept2.size)
+        half = bank.name_dim
+        for w, rows in ((0, slice(0, half)), (0, slice(half, None)), (branch2, slice(None))):
+            assert (final.weights[w][rows] != start.weights[w][rows]).any()
 
     def test_full_size_model_scores_full_rows_as_the_trained_model_its_rows(self, monkeypatch):
-        """The final full-size model on the bank's rows at the encoders'
-        widths agrees with the model the loop trained on the bank's rows;
-        it only adds exact zeros, in another float32 order.  A row put back
-        at the wrong place, such as the pair half's without its offset,
-        fails this."""
-        result, bank, trained = self.train_watched(monkeypatch, separable_block(), self.CONFIG)
+        """The best full-size model on the bank's rows at the encoders'
+        widths agrees with the model the loop trained on the bank's rows at
+        that epoch; it only adds exact zeros, in another float32 order.  A
+        row put back at the wrong place, such as the pair half's without its
+        offset, fails this."""
+        result, bank, _, epochs = train_watched(monkeypatch, separable_block(), PAST_BEST)
+        trained = epochs[result.best_epoch - 1]
         assert (trained.config.input1_dim, trained.config.input2_dim) == (2 * bank.name_dim, bank.text_dim)
         x1, x2 = bank.rows(np.arange(bank.n_samples))
-        full, _ = forward_batch(result.final_params, *widen(bank, x1, x2))
+        full, _ = forward_batch(result.best_params, *widen(bank, x1, x2))
         kept, _ = forward_batch(trained, x1, x2)
         assert full.dtype == kept.dtype == np.float32
         np.testing.assert_allclose(full, kept, rtol=1e-5, atol=1e-6)
